@@ -128,8 +128,15 @@ time cargo run -q -p ppa-verify --release -- oracle --len 800 --grid loopback:2 
     > /tmp/ppa_ci_oracle_grid.txt 2> /dev/null
 diff /tmp/ppa_ci_oracle_local.txt /tmp/ppa_ci_oracle_grid.txt
 
-# Full-stack self-test: benchmark + oracle units over loopback TCP with
-# an injected mid-lease worker death.
+# The oracle's re-dispatch path from the CLI: a loopback worker killed
+# mid-lease must not perturb a single output byte.
+echo "== ppa-verify oracle loopback grid smoke with injected worker death"
+PPA_GRID_DIE_AFTER=3 cargo run -q -p ppa-verify --release -- oracle --len 800 \
+    --grid loopback:3 > /tmp/ppa_ci_oracle_die.txt 2> /dev/null
+diff /tmp/ppa_ci_oracle_local.txt /tmp/ppa_ci_oracle_die.txt
+
+# Full-stack self-test: every unit kind (repro, oracle, litmus, dse)
+# over loopback TCP with an injected mid-lease worker death.
 echo "== ppa-grid selftest (3 workers, one dies mid-lease)"
 time cargo run -q -p ppa-gridcli --release --bin ppa-grid -- selftest --workers 3 2> /dev/null
 
@@ -353,6 +360,13 @@ DSE_HITS=$(./target/release/ppa-serve stats --connect "$DSE_ADDR" 2> /dev/null \
     | sed -n 's/.*hits=\([0-9]*\).*/\1/p')
 [ "${DSE_HITS:-0}" -gt 0 ] || { echo "ci: dse re-sweep hit the cache 0 times"; exit 1; }
 echo "dse serve ok: cache hits=$DSE_HITS"
+
+# `repro` as a client of the same daemon: the registry-backed worker
+# serves repro.* units too, and stdout must match the local run.
+echo "== repro serve-client gate (daemon submission, stdout identity)"
+PPA_JOBS=0 PPA_REPRO_LEN=1200 ./target/release/repro --grid "serve:$DSE_ADDR" \
+    fig11 table4 ckpt autopersist > /tmp/ppa_ci_serve_repro.txt 2> /dev/null
+diff /tmp/ppa_ci_local.txt /tmp/ppa_ci_serve_repro.txt
 
 # The live progress UI: stats must now report the eviction counter, and
 # `watch` must render its frames entirely on stderr (stdout byte-empty).

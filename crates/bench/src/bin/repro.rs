@@ -22,7 +22,6 @@
 //! named files so stdout stays deterministic.
 
 use ppa_bench::{experiments, gridwork, sentinel};
-use ppa_grid::{loopback, GridConfig, GridMode};
 use ppa_stats::fmt_duration;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -72,58 +71,6 @@ fn usage() -> ! {
         eprintln!("  {id}");
     }
     std::process::exit(2);
-}
-
-/// Attaches this process to the requested grid mode and installs the
-/// handle; returns whether a grid is active.
-fn attach_grid(mode: GridMode) -> bool {
-    match mode {
-        GridMode::Off => false,
-        GridMode::Loopback(n) => {
-            let jobs = ppa_pool::configured_jobs();
-            let mut workers = vec![
-                ppa_grid::WorkerOptions {
-                    jobs,
-                    ..Default::default()
-                };
-                n
-            ];
-            // Fault injection for the determinism checks: the first
-            // loopback worker drops its connection mid-lease after N
-            // units, and the output must still be byte-identical.
-            if let Some(k) = std::env::var("PPA_GRID_DIE_AFTER")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                workers[0].die_after = Some(k);
-            }
-            let lb = loopback::start(
-                workers,
-                Arc::new(gridwork::BenchExecutor),
-                GridConfig::default(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("repro: failed to start loopback grid: {e}");
-                std::process::exit(1);
-            });
-            ppa_obs::info!(
-                "grid",
-                "loopback with {n} workers on {}",
-                lb.coordinator().local_addr()
-            );
-            gridwork::install(gridwork::GridHandle::Loopback(lb));
-            true
-        }
-        GridMode::Serve(addr) => {
-            let client = ppa_serve::ServeClient::connect(addr.as_str()).unwrap_or_else(|e| {
-                eprintln!("repro: {e}");
-                std::process::exit(1);
-            });
-            ppa_obs::info!("grid", "submitting to ppa-serve daemon at {addr}");
-            gridwork::install(gridwork::GridHandle::Remote(client));
-            true
-        }
-    }
 }
 
 /// `repro bench compare ...`: the perf-regression sentinel. Returns the
@@ -300,15 +247,21 @@ fn main() {
             .collect()
     };
 
-    let mode = match grid_flag {
-        Some(v) => ppa_grid::parse_grid_mode(&v),
-        None => ppa_grid::grid_mode_from_env(),
-    }
-    .unwrap_or_else(|e| {
+    let mode = ppa_grid::resolve_grid_mode(grid_flag.as_deref()).unwrap_or_else(|e| {
         eprintln!("repro: {e}");
         std::process::exit(2);
     });
-    let grid_on = attach_grid(mode);
+    let grid_on = match ppa_serve::attach(mode, Arc::new(gridwork::BenchExecutor)) {
+        Ok(Some(handle)) => {
+            gridwork::install(handle);
+            true
+        }
+        Ok(None) => false,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            std::process::exit(1);
+        }
+    };
 
     // Run every selected experiment through the pool (serial unless jobs
     // were requested), buffering each rendered table so stdout comes out
@@ -353,27 +306,7 @@ fn main() {
     eprintln!("total: {}", fmt_duration(wall));
 
     if let Some(grid) = gridwork::active() {
-        if let Some(coord) = grid.coordinator() {
-            let s = coord.stats();
-            ppa_obs::info!(
-                "grid",
-                "dispatched={} completed={} redispatched={} duplicates={} unit_errors={} workers_joined={} workers_lost={}",
-                s.dispatched, s.completed, s.redispatched, s.duplicates, s.unit_errors, s.workers_joined, s.workers_lost
-            );
-            coord.shutdown();
-        } else if let gridwork::GridHandle::Remote(client) = grid {
-            // The daemon outlives us; just report what it did for us.
-            if let Ok(s) = client.stats() {
-                ppa_obs::info!(
-                    "grid",
-                    "daemon {}: cache hits={} misses={} entries={}",
-                    client.addr(),
-                    s.hits,
-                    s.misses,
-                    s.entries
-                );
-            }
-        }
+        grid.finish();
     }
 
     if std::env::var("PPA_POOL_STATS").is_ok_and(|v| v != "0") {

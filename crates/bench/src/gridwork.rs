@@ -12,43 +12,12 @@
 //! output byte-identical to a local run.
 
 use crate::experiments::{self, AppCell};
-use ppa_grid::coord::{Coordinator, UnitRunner, UnitSpec};
-use ppa_grid::loopback::Loopback;
+use ppa_grid::coord::UnitSpec;
 use ppa_grid::proto::{ByteReader, ByteWriter};
 use ppa_grid::Executor;
-use ppa_serve::ServeClient;
+use ppa_serve::GridHandle;
 use ppa_workloads::{registry, AppDescriptor};
-use std::sync::{Arc, OnceLock};
-
-/// A live grid attachment for this process: an owned loopback cluster,
-/// a coordinator serving external workers, or a client of a
-/// `ppa-serve` daemon.
-pub enum GridHandle {
-    Loopback(Loopback),
-    Serve(Arc<Coordinator>),
-    Remote(ServeClient),
-}
-
-impl GridHandle {
-    /// The runner work units are submitted through.
-    pub fn runner(&self) -> &dyn UnitRunner {
-        match self {
-            GridHandle::Loopback(l) => l.coordinator().as_ref(),
-            GridHandle::Serve(c) => c.as_ref(),
-            GridHandle::Remote(client) => client,
-        }
-    }
-
-    /// The locally owned coordinator, when the attachment has one
-    /// (`Remote` submits to a daemon-owned coordinator instead).
-    pub fn coordinator(&self) -> Option<&Arc<Coordinator>> {
-        match self {
-            GridHandle::Loopback(l) => Some(l.coordinator()),
-            GridHandle::Serve(c) => Some(c),
-            GridHandle::Remote(_) => None,
-        }
-    }
-}
+use std::sync::OnceLock;
 
 static GRID: OnceLock<GridHandle> = OnceLock::new();
 
@@ -220,13 +189,22 @@ pub fn execute(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
     }
 }
 
-/// [`Executor`] over the benchmark unit vocabulary, used by loopback
-/// self-tests and the `ppa-grid work` worker.
+/// The `repro.*` unit kind.
 pub struct BenchExecutor;
 
 impl Executor for BenchExecutor {
     fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
         execute(tag, payload)
+    }
+
+    fn prefix(&self) -> &'static str {
+        "repro."
+    }
+
+    /// Every fig11 app cell (one per workload), at a trace length that
+    /// keeps the self-test in the seconds range.
+    fn selftest_units(&self) -> Vec<UnitSpec> {
+        units_for("fig11", 4_000).expect("fig11 decomposes")
     }
 }
 

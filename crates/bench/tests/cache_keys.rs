@@ -4,6 +4,8 @@
 //! daemon would recompute (or worse, wrongly share) results across
 //! differently-configured clients.
 
+use ppa_grid::Executor;
+use ppa_litmus::gridwork::LitmusKind;
 use ppa_serve::unit_key;
 use std::collections::HashSet;
 
@@ -17,10 +19,10 @@ fn cache_keys_are_stable_across_job_configurations() {
     // settings; the serialized units — and therefore their cache keys —
     // must not depend on the pool configuration.
     let fig11_a = ppa_bench::gridwork::units_for("fig11", 4_000).expect("fig11 decomposes");
-    let litmus_a = ppa_litmus::gridwork::selftest_units();
+    let litmus_a = LitmusKind.selftest_units();
     ppa_pool::set_jobs(4);
     let fig11_b = ppa_bench::gridwork::units_for("fig11", 4_000).expect("fig11 decomposes");
-    let litmus_b = ppa_litmus::gridwork::selftest_units();
+    let litmus_b = LitmusKind.selftest_units();
 
     assert_eq!(keys(&fig11_a), keys(&fig11_b));
     assert_eq!(keys(&litmus_a), keys(&litmus_b));
@@ -30,7 +32,7 @@ fn cache_keys_are_stable_across_job_configurations() {
 fn cache_keys_distinguish_every_unit_and_configuration() {
     let fig11 = ppa_bench::gridwork::units_for("fig11", 4_000).expect("fig11 decomposes");
     let fig11_longer = ppa_bench::gridwork::units_for("fig11", 8_000).expect("fig11 decomposes");
-    let litmus = ppa_litmus::gridwork::selftest_units();
+    let litmus = LitmusKind.selftest_units();
 
     // No collisions across kinds, workloads, or trace lengths: the
     // cache must never serve a fig11@8000 result to a fig11@4000

@@ -6,6 +6,7 @@ use ppa_bench::gridwork::{self, BenchExecutor};
 use ppa_grid::coord::GridConfig;
 use ppa_grid::loopback;
 use ppa_grid::worker::WorkerOptions;
+use ppa_serve::GridHandle;
 use std::sync::Arc;
 
 /// Transport-level equivalence: every fig11 cell unit executed through
@@ -70,7 +71,7 @@ fn rendered_tables_are_byte_identical_across_grid_configurations() {
 
     let lb = loopback::start_uniform(2, 2, Arc::new(BenchExecutor), GridConfig::default())
         .expect("loopback grid starts");
-    gridwork::install(gridwork::GridHandle::Loopback(lb));
+    gridwork::install(GridHandle::Loopback(lb));
 
     // fig11 decomposes into per-app units; table1 ships whole. Both
     // paths must reproduce the local bytes.
@@ -79,10 +80,9 @@ fn rendered_tables_are_byte_identical_across_grid_configurations() {
         gridwork::render_experiment(table1.0, table1.1),
         local_table1
     );
-    let stats = gridwork::active()
-        .unwrap()
-        .coordinator()
-        .expect("loopback handle owns its coordinator")
-        .stats();
+    let Some(GridHandle::Loopback(lb)) = gridwork::active() else {
+        panic!("the loopback handle is installed");
+    };
+    let stats = lb.coordinator().stats();
     assert!(stats.completed >= 42, "stats: {stats:?}");
 }

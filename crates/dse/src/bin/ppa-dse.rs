@@ -11,7 +11,7 @@
 //! count, or injected worker death. Telemetry goes to stderr /
 //! `--metrics-json` only.
 
-use ppa_dse::gridwork::{self, DseExecutor, GridEval, GridHandle, LocalEval};
+use ppa_dse::gridwork::{DseKind, GridEval, LocalEval};
 use ppa_dse::{explore, ExploreParams, ExploreResult, FreezeReason, Space};
 use std::sync::Arc;
 
@@ -285,25 +285,18 @@ fn cmd_sweep(opts: &Options) -> bool {
     params.max_rounds = opts.rounds;
     params.budget = opts.budget;
 
-    let mode = match &opts.grid {
-        Some(v) => ppa_grid::parse_grid_mode(v),
-        None => ppa_grid::grid_mode_from_env(),
-    }
-    .unwrap_or_else(|e| {
+    let mode = ppa_grid::resolve_grid_mode(opts.grid.as_deref()).unwrap_or_else(|e| {
         ppa_obs::error!("dse", "{e}");
         std::process::exit(2);
     });
-    let handle: Option<GridHandle> = match gridwork::attach(mode, Arc::new(DseExecutor)) {
-        Ok(h) => h,
-        Err(e) => {
-            ppa_obs::error!("dse", "{e}");
-            std::process::exit(1);
-        }
-    };
+    let handle = ppa_serve::attach(mode, Arc::new(DseKind)).unwrap_or_else(|e| {
+        ppa_obs::error!("dse", "{e}");
+        std::process::exit(1);
+    });
 
     let result = match &handle {
         None => explore(&space, &params, &LocalEval),
-        Some(h) => explore(&space, &params, &GridEval(h)),
+        Some(h) => explore(&space, &params, &GridEval(h.runner())),
     };
     let ok = match result {
         Ok(r) => {
@@ -317,30 +310,8 @@ fn cmd_sweep(opts: &Options) -> bool {
         }
     };
 
-    match handle {
-        Some(GridHandle::Loopback(lb)) => {
-            let s = lb.coordinator().stats();
-            ppa_obs::info!(
-                "grid",
-                "dispatched={} completed={} redispatched={} duplicates={} unit_errors={} workers_joined={} workers_lost={}",
-                s.dispatched, s.completed, s.redispatched, s.duplicates, s.unit_errors, s.workers_joined, s.workers_lost
-            );
-            lb.shutdown();
-        }
-        Some(GridHandle::Remote(client)) => {
-            // The daemon outlives us; just report what it did for us.
-            if let Ok(s) = client.stats() {
-                ppa_obs::info!(
-                    "grid",
-                    "daemon {}: cache hits={} misses={} entries={}",
-                    client.addr(),
-                    s.hits,
-                    s.misses,
-                    s.entries
-                );
-            }
-        }
-        _ => {}
+    if let Some(h) = &handle {
+        h.finish();
     }
     ok
 }

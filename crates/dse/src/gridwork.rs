@@ -12,13 +12,10 @@ use crate::explore::CellEval;
 use crate::objectives::{CellResult, CellSpec};
 use crate::space::DesignPoint;
 use ppa_core::PersistenceMode;
-use ppa_grid::coord::{Coordinator, GridConfig, UnitRunner, UnitSpec};
-use ppa_grid::loopback::{self, Loopback};
+use ppa_grid::coord::{UnitRunner, UnitSpec};
 use ppa_grid::proto::{ByteReader, ByteWriter};
-use ppa_grid::{Executor, GridMode};
-use ppa_serve::ServeClient;
+use ppa_grid::Executor;
 use ppa_sim::Machine;
-use std::sync::Arc;
 
 fn mode_code(mode: PersistenceMode) -> u8 {
     match mode {
@@ -144,111 +141,41 @@ pub fn run_cell(spec: &CellSpec) -> Result<CellResult, String> {
     })
 }
 
-/// Worker-side dispatcher for `dse.*` unit tags.
-pub fn execute(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-    if !tag.starts_with("dse.cell:") {
-        return Err(format!("unknown unit tag '{tag}'"));
-    }
-    Ok(encode_result(&run_cell(&decode_spec(payload)?)?))
-}
+/// The `dse.*` unit kind.
+pub struct DseKind;
 
-/// [`Executor`] over the DSE unit vocabulary.
-pub struct DseExecutor;
-
-impl Executor for DseExecutor {
+impl Executor for DseKind {
     fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        execute(tag, payload)
-    }
-}
-
-/// A small representative batch for `ppa-grid selftest`.
-pub fn selftest_units() -> Vec<UnitSpec> {
-    let mut capri = DesignPoint::paper_default();
-    capri.mode = PersistenceMode::Capri;
-    [
-        CellSpec {
-            point: DesignPoint::paper_default(),
-            app: "sjeng".into(),
-            base_len: 1_200,
-            seed: 1,
-        },
-        CellSpec {
-            point: capri,
-            app: "gobmk".into(),
-            base_len: 1_200,
-            seed: 1,
-        },
-    ]
-    .iter()
-    .map(cell_unit)
-    .collect()
-}
-
-/// A live grid attachment owned by the `ppa-dse` binary.
-pub enum GridHandle {
-    Loopback(Loopback),
-    Serve(Arc<Coordinator>),
-    Remote(ServeClient),
-}
-
-impl GridHandle {
-    /// The runner cell units are submitted through.
-    pub fn runner(&self) -> &dyn UnitRunner {
-        match self {
-            GridHandle::Loopback(l) => l.coordinator().as_ref(),
-            GridHandle::Serve(c) => c.as_ref(),
-            GridHandle::Remote(client) => client,
+        if !tag.starts_with("dse.cell:") {
+            return Err(format!("unknown unit tag '{tag}'"));
         }
+        Ok(encode_result(&run_cell(&decode_spec(payload)?)?))
     }
 
-    /// The locally owned coordinator, when the attachment has one
-    /// (`Remote` submits to a daemon-owned coordinator instead).
-    pub fn coordinator(&self) -> Option<&Arc<Coordinator>> {
-        match self {
-            GridHandle::Loopback(l) => Some(l.coordinator()),
-            GridHandle::Serve(c) => Some(c),
-            GridHandle::Remote(_) => None,
-        }
+    fn prefix(&self) -> &'static str {
+        "dse."
     }
-}
 
-/// Attaches to the requested grid mode with `exec` serving loopback
-/// workers; `Ok(None)` for [`GridMode::Off`].
-pub fn attach(mode: GridMode, exec: Arc<dyn Executor>) -> Result<Option<GridHandle>, String> {
-    match mode {
-        GridMode::Off => Ok(None),
-        GridMode::Loopback(n) => {
-            let jobs = ppa_pool::configured_jobs();
-            let mut workers = vec![
-                ppa_grid::WorkerOptions {
-                    jobs,
-                    ..Default::default()
-                };
-                n
-            ];
-            // Fault injection for the determinism checks: the first
-            // loopback worker drops its connection mid-lease after N
-            // units, and the output must still be byte-identical.
-            if let Some(k) = std::env::var("PPA_GRID_DIE_AFTER")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                workers[0].die_after = Some(k);
-            }
-            let lb = loopback::start(workers, exec, GridConfig::default())
-                .map_err(|e| format!("failed to start loopback grid: {e}"))?;
-            ppa_obs::info!(
-                "grid",
-                "loopback with {n} workers on {}",
-                lb.coordinator().local_addr()
-            );
-            Ok(Some(GridHandle::Loopback(lb)))
-        }
-        GridMode::Serve(addr) => {
-            let client = ServeClient::connect(addr.as_str())?;
-            ppa_obs::info!("grid", "submitting to ppa-serve daemon at {addr}");
-            Ok(Some(GridHandle::Remote(client)))
-        }
+    fn selftest_units(&self) -> Vec<UnitSpec> {
+        let mut capri = DesignPoint::paper_default();
+        capri.mode = PersistenceMode::Capri;
+        [
+            CellSpec {
+                point: DesignPoint::paper_default(),
+                app: "sjeng".into(),
+                base_len: 1_200,
+                seed: 1,
+            },
+            CellSpec {
+                point: capri,
+                app: "gobmk".into(),
+                base_len: 1_200,
+                seed: 1,
+            },
+        ]
+        .iter()
+        .map(cell_unit)
+        .collect()
     }
 }
 
@@ -267,13 +194,13 @@ impl CellEval for LocalEval {
 /// Grid evaluation: cells ship as `dse.cell:` units; results come back
 /// in submission order (and, against a daemon, from its result cache
 /// when already computed).
-pub struct GridEval<'a>(pub &'a GridHandle);
+pub struct GridEval<'a>(pub &'a dyn UnitRunner);
 
 impl CellEval for GridEval<'_> {
     fn eval(&self, cells: Vec<CellSpec>) -> Result<Vec<CellResult>, String> {
         let units: Vec<UnitSpec> = cells.iter().map(cell_unit).collect();
         let mut out = Vec::with_capacity(units.len());
-        for res in self.0.runner().run_units(units) {
+        for res in self.0.run_units(units) {
             let outcome = res.map_err(|e| e.to_string())?;
             out.push(decode_result(&outcome.payload)?);
         }
@@ -312,17 +239,17 @@ mod tests {
 
     #[test]
     fn grid_unit_reproduces_the_local_cell() {
-        for unit in selftest_units() {
+        for unit in DseKind.selftest_units() {
             let spec = decode_spec(&unit.payload).unwrap();
-            let payload = execute(&unit.tag, &unit.payload).unwrap();
+            let payload = DseKind.execute(&unit.tag, &unit.payload).unwrap();
             assert_eq!(decode_result(&payload).unwrap(), run_cell(&spec).unwrap());
         }
     }
 
     #[test]
     fn execute_rejects_foreign_tags_and_bad_payloads() {
-        assert!(execute("litmus.test:x", &[]).is_err());
-        assert!(execute("dse.cell:x/y", &[1, 2, 3]).is_err());
+        assert!(DseKind.execute("litmus.test:x", &[]).is_err());
+        assert!(DseKind.execute("dse.cell:x/y", &[1, 2, 3]).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end sweeps on the real simulator, plus seeded-loop property
 //! tests of the Pareto helpers.
 
-use ppa_dse::gridwork::{self, DseExecutor, GridEval, GridHandle, LocalEval};
+use ppa_dse::gridwork::{DseKind, GridEval, LocalEval};
 use ppa_dse::{dominates, explore, frontier_indices, ExploreParams, Objectives, Space};
 use ppa_grid::GridMode;
 use ppa_prng::Prng;
@@ -40,13 +40,11 @@ fn grid_sweep_matches_local() {
     let space = Space::select(&["csq", "mode"]).unwrap();
     let p = tiny_params(2);
     let local = explore(&space, &p, &LocalEval).unwrap();
-    let handle = gridwork::attach(GridMode::Loopback(2), Arc::new(DseExecutor))
+    let handle = ppa_serve::attach(GridMode::Loopback(2), Arc::new(DseKind))
         .expect("loopback grid starts")
         .expect("loopback is not Off");
-    let grid = explore(&space, &p, &GridEval(&handle)).unwrap();
-    if let GridHandle::Loopback(lb) = handle {
-        lb.shutdown();
-    }
+    let grid = explore(&space, &p, &GridEval(handle.runner())).unwrap();
+    handle.finish();
     assert_eq!(local, grid, "grid and local sweeps diverged");
 }
 

@@ -29,17 +29,17 @@ pub const DEFAULT_PRIORITY: u8 = 128;
 
 /// Anything that can run a batch of work units and return their
 /// outcomes in submission order. Implemented by [`Coordinator`] (the
-/// one-shot / loopback path) and by the `ppa-serve` client (the daemon
+/// loopback path) and by the `ppa-serve` client (the daemon
 /// path), so front-ends are written once against this trait.
 pub trait UnitRunner: Send + Sync {
     fn run_units(&self, units: Vec<UnitSpec>) -> Vec<Result<UnitOutcome, GridError>>;
 }
 
-/// A hook for routing non-worker connections (v3 service frames) that
+/// A hook for routing non-worker connections (service frames) that
 /// arrive on the coordinator's listening port. `ppa-serve` installs one
 /// to serve client sessions on the same socket workers dial.
 pub trait ConnDispatch: Send + Sync {
-    /// Takes ownership of a connection whose first frame was a v3
+    /// Takes ownership of a connection whose first frame was a
     /// service frame. Runs the whole session; returns when it ends.
     fn handle(&self, first: Msg, stream: TcpStream);
 }
@@ -207,8 +207,8 @@ struct Shared {
     state: Mutex<State>,
     cv: Condvar,
     cfg: GridConfig,
-    /// Client-session router for v3 service frames; set once by
-    /// `ppa-serve`, absent in one-shot / loopback runs.
+    /// Client-session router for service frames; set once by
+    /// `ppa-serve`, absent in loopback runs.
     dispatch: OnceLock<Arc<dyn ConnDispatch>>,
 }
 
@@ -302,7 +302,7 @@ impl Coordinator {
         self.shared.state.lock().unwrap().stats.clone()
     }
 
-    /// Installs the v3 client-session router. May be called once; a
+    /// Installs the client-session router. May be called once; a
     /// second call is ignored (the first router wins).
     pub fn set_dispatch(&self, dispatch: Arc<dyn ConnDispatch>) {
         let _ = self.shared.dispatch.set(dispatch);
@@ -501,7 +501,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 
 fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
     // The handshake: a worker's first frame is Hello, announcing
-    // capacity. A v3 service frame instead marks a client session,
+    // capacity. A service frame instead marks a client session,
     // which is handed to the installed dispatcher (if any) — workers
     // and clients share one listening port.
     let jobs = match proto::read_msg(&mut stream) {
@@ -683,7 +683,7 @@ fn handle_worker_msg(shared: &Arc<Shared>, wid: u64, msg: Msg) -> bool {
             }
         }
         Msg::Shutdown => return false,
-        // Hello twice, coordinator-only frames, or v3 service frames on
+        // Hello twice, coordinator-only frames, or service frames on
         // an established worker connection: protocol misuse.
         Msg::Hello { .. }
         | Msg::Lease { .. }

@@ -23,14 +23,16 @@
 //!   `127.0.0.1`, the self-test mode `ci.sh` smokes.
 //!
 //! The unit vocabulary (tags and payload layouts) belongs to the
-//! callers: `ppa-bench` serializes per-app experiment cells
-//! (`repro.*`), `ppa-verify` serializes (app × failure-point) oracle
-//! cells (`oracle.*`), `ppa-litmus` serializes conformance tests
-//! (`litmus.*`), and `ppa-dse` serializes (configuration × workload)
-//! sweep cells (`dse.*`). The `ppa-grid` binary (`crates/gridcli`)
-//! wires all of them into `serve` / `work` / `selftest` subcommands,
-//! and each harness accepts `--grid` (or `PPA_GRID`) to distribute its
-//! own runs.
+//! callers, one unit kind per harness: `ppa-bench` serializes per-app
+//! experiment cells (`repro.*`), `ppa-verify` serializes (app ×
+//! failure-point) oracle cells (`oracle.*`), `ppa-litmus` serializes
+//! conformance tests (`litmus.*`), and `ppa-dse` serializes
+//! (configuration × workload) sweep cells (`dse.*`). Each kind is an
+//! [`Executor`] naming its tag prefix and self-test units; a
+//! [`Registry`] routes between kinds by prefix. The `ppa-grid` binary
+//! (`crates/gridcli`) registers all four for its `work` / `selftest`
+//! subcommands, and each harness accepts `--grid` (or `PPA_GRID`,
+//! resolved by [`resolve_grid_mode`]) to distribute its own runs.
 
 pub mod coord;
 pub mod loopback;
@@ -41,7 +43,7 @@ pub use coord::{
     ConnDispatch, Coordinator, GridConfig, GridError, GridStats, UnitOutcome, UnitRunner, UnitSpec,
 };
 pub use proto::ProtoError;
-pub use worker::{run_worker, Executor, WorkerOptions, WorkerReport};
+pub use worker::{run_worker, Executor, Registry, WorkerOptions, WorkerReport};
 
 /// How a harness run uses the grid, parsed from `--grid` / `PPA_GRID`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,8 +53,8 @@ pub enum GridMode {
     /// Self-test mode: spawn this many in-process workers over
     /// `127.0.0.1` and distribute to them.
     Loopback(usize),
-    /// Bind this address and distribute to externally connected
-    /// `ppa-grid work` processes.
+    /// Submit to the `ppa-serve` daemon at this address as a client;
+    /// its connected `ppa-grid work` processes execute the units.
     Serve(String),
 }
 
@@ -72,7 +74,7 @@ pub fn parse_grid_mode(s: &str) -> Result<GridMode, String> {
     }
     if let Some(addr) = s.strip_prefix("serve:") {
         if addr.is_empty() {
-            return Err("serve mode needs a listen address, e.g. serve:0.0.0.0:7171".into());
+            return Err("serve mode needs a daemon address, e.g. serve:127.0.0.1:7171".into());
         }
         return Ok(GridMode::Serve(addr.to_string()));
     }
@@ -81,12 +83,12 @@ pub fn parse_grid_mode(s: &str) -> Result<GridMode, String> {
     ))
 }
 
-/// Reads [`GridMode`] from the `PPA_GRID` environment variable; unset
-/// means [`GridMode::Off`].
-pub fn grid_mode_from_env() -> Result<GridMode, String> {
-    match std::env::var("PPA_GRID") {
-        Ok(v) => parse_grid_mode(&v),
-        Err(_) => Ok(GridMode::Off),
+/// Resolves a harness's grid mode: the `--grid` flag value when given,
+/// else the `PPA_GRID` environment variable, else [`GridMode::Off`].
+pub fn resolve_grid_mode(flag: Option<&str>) -> Result<GridMode, String> {
+    match flag {
+        Some(v) => parse_grid_mode(v),
+        None => parse_grid_mode(&std::env::var("PPA_GRID").unwrap_or_default()),
     }
 }
 
@@ -107,5 +109,9 @@ mod tests {
         assert!(parse_grid_mode("loopback:x").is_err());
         assert!(parse_grid_mode("serve:").is_err());
         assert!(parse_grid_mode("cluster").is_err());
+        assert_eq!(
+            resolve_grid_mode(Some("loopback:2")),
+            Ok(GridMode::Loopback(2))
+        );
     }
 }

@@ -64,6 +64,24 @@ pub fn start_uniform(
     start(vec![opts; n.max(1)], exec, cfg)
 }
 
+/// The loopback grid a harness attaches with `--grid loopback:N`: `n`
+/// workers with the configured job count (`--jobs`/`PPA_JOBS`) each. `PPA_GRID_DIE_AFTER=K` makes the
+/// first drop its connection mid-lease after K units — the fault
+/// injection behind the byte-identity checks.
+pub fn start_harness(n: usize, exec: Arc<dyn Executor>) -> std::io::Result<Loopback> {
+    let mut workers = vec![
+        WorkerOptions {
+            jobs: ppa_pool::configured_jobs(),
+            ..WorkerOptions::default()
+        };
+        n.max(1)
+    ];
+    workers[0].die_after = std::env::var("PPA_GRID_DIE_AFTER")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    start(workers, exec, GridConfig::default())
+}
+
 impl Loopback {
     /// The embedded coordinator, shareable across submitting threads.
     pub fn coordinator(&self) -> &Arc<Coordinator> {

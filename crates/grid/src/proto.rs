@@ -15,18 +15,12 @@
 //! never a silently accepted frame. The property tests in
 //! `tests/proto.rs` fuzz exactly these cases with `ppa-prng`.
 //!
-//! Versioning is negotiated per frame: every message type has a fixed
-//! minimum protocol version ([`frame_version`]), frames are stamped with
-//! exactly that version, and a decoder accepts any version it knows.
-//! The worker vocabulary (`Hello`..`Shutdown`) is [`VERSION`] and the
-//! service vocabulary ([`Msg::Submit`], [`Msg::Query`],
-//! [`Msg::Subscribe`], [`Msg::Result`], [`Msg::CacheStats`]) is
-//! [`VERSION_SERVICE`]; a peer speaking only one vocabulary rejects the
-//! other with [`ProtoError::BadVersion`] instead of mis-parsing it.
-//! Both vocabularies were bumped when distributed tracing landed: leases
-//! now carry a trace id and dispatch timestamp, results carry span
-//! fragments and clock samples, and heartbeats carry a clock sample for
-//! cross-host clock-offset bracketing.
+//! One protocol [`VERSION`] covers both vocabularies — the worker
+//! frames (`Hello`..`Shutdown`) and the service frames
+//! ([`Msg::Submit`], [`Msg::Query`], [`Msg::Subscribe`],
+//! [`Msg::Result`], [`Msg::CacheStats`]). Every frame is stamped with
+//! it, and a peer built against any other version is rejected with
+//! [`ProtoError::BadVersion`] instead of mis-parsed.
 //!
 //! Payload contents use the same primitive encoding ([`ByteWriter`] /
 //! [`ByteReader`]), which `ppa-bench` and `ppa-verify` reuse for their
@@ -38,21 +32,11 @@ use std::io::{Read, Write};
 /// Frame magic: `"PPAG"` as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"PPAG");
 
-/// Protocol version of the worker vocabulary. Bumped to 2 when
-/// [`Msg::Heartbeat`] grew the `inflight`/`executed` telemetry fields,
-/// and to 4 when distributed tracing grew [`Msg::Lease`] (trace id,
-/// dispatch timestamp), [`Msg::UnitResult`] (clock samples, span
-/// fragments), and [`Msg::Heartbeat`] (clock sample). Version 3 was the
-/// first service vocabulary and is skipped here so the two vocabularies
-/// never share a number.
-pub const VERSION: u16 = 4;
-
-/// Protocol version of the service vocabulary (`ppa-serve` client
-/// frames: submit/query/subscribe/result/cache-stats). Bumped from 3
-/// to 5 when [`Msg::Submit`] grew the trace id, [`Msg::Result`] grew
-/// clock + span-fragment fields, and [`Msg::CacheStats`] grew eviction
-/// and per-worker detail.
-pub const VERSION_SERVICE: u16 = 5;
+/// The protocol version every frame is stamped with. Versions up to 5
+/// numbered the worker and service vocabularies separately (4 and 5
+/// last); 6 is the first to cover both, so frames from either of the
+/// split-version builds are rejected.
+pub const VERSION: u16 = 6;
 
 /// In a [`Msg::Result`] frame, this `index` marks a service-level
 /// rejection (e.g. a subscription to a submission the daemon does not
@@ -262,16 +246,6 @@ const TY_SUBSCRIBE: u8 = 9;
 const TY_SERVE_RESULT: u8 = 10;
 const TY_CACHE_STATS: u8 = 11;
 
-/// The minimum (and stamped) protocol version of each message type:
-/// worker frames are [`VERSION`], service frames [`VERSION_SERVICE`].
-pub fn frame_version(ty: u8) -> u16 {
-    if ty >= TY_SUBMIT {
-        VERSION_SERVICE
-    } else {
-        VERSION
-    }
-}
-
 fn put_spans(body: &mut ByteWriter, spans: &[SpanFrag]) {
     body.put_u32(spans.len() as u32);
     for s in spans {
@@ -454,7 +428,7 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
     let body = body.into_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 4);
     out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&frame_version(ty).to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.push(ty);
     out.push(0); // flags, reserved
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -474,8 +448,7 @@ fn le_u32(b: &[u8]) -> u32 {
 
 /// Decodes one frame from the front of `buf`, returning the message and
 /// the number of bytes consumed. Validation order: magic, version,
-/// length bounds, completeness, checksum, message type (including the
-/// type/version pairing), payload fields.
+/// length bounds, completeness, checksum, message type, payload fields.
 pub fn decode(buf: &[u8]) -> Result<(Msg, usize), ProtoError> {
     if buf.len() < HEADER_LEN {
         return Err(ProtoError::Truncated);
@@ -485,7 +458,7 @@ pub fn decode(buf: &[u8]) -> Result<(Msg, usize), ProtoError> {
         return Err(ProtoError::BadMagic(magic));
     }
     let version = le_u16(&buf[4..6]);
-    if version != VERSION && version != VERSION_SERVICE {
+    if version != VERSION {
         return Err(ProtoError::BadVersion(version));
     }
     let ty = buf[6];
@@ -603,12 +576,6 @@ pub fn decode(buf: &[u8]) -> Result<(Msg, usize), ProtoError> {
         }
         other => return Err(ProtoError::UnknownType(other)),
     };
-    // A frame must be stamped with its type's exact version: a v3-only
-    // message claiming to be v2 (or vice versa) is a forgery a v2 peer
-    // would mis-handle, so reject it outright.
-    if version != frame_version(ty) {
-        return Err(ProtoError::BadVersion(version));
-    }
     r.finish()?;
     Ok((msg, total))
 }
@@ -625,7 +592,7 @@ pub fn read_msg(r: &mut impl Read) -> Result<Msg, ProtoError> {
         return Err(ProtoError::BadMagic(magic));
     }
     let version = le_u16(&header[4..6]);
-    if version != VERSION && version != VERSION_SERVICE {
+    if version != VERSION {
         return Err(ProtoError::BadVersion(version));
     }
     let len = le_u32(&header[8..12]);
@@ -784,9 +751,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frames_round_trip() {
-        for msg in [
+    /// One message of every type, both vocabularies.
+    fn every_type() -> Vec<Msg> {
+        vec![
             Msg::Hello { jobs: 8 },
             sample(),
             Msg::UnitResult {
@@ -851,7 +818,12 @@ mod tests {
                 workers: 8,
                 worker_detail: vec![(0, 2, 17), (1, 3, 24)],
             },
-        ] {
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        for msg in every_type() {
             let frame = encode(&msg);
             let (back, used) = decode(&frame).expect("round trip");
             assert_eq!(back, msg);
@@ -860,38 +832,17 @@ mod tests {
     }
 
     #[test]
-    fn worker_frames_and_service_frames_use_their_own_version() {
-        assert_eq!(le_u16(&encode(&Msg::Shutdown)[4..6]), VERSION);
-        assert_eq!(le_u16(&encode(&sample())[4..6]), VERSION);
-        assert_eq!(le_u16(&encode(&sample_service())[4..6]), VERSION_SERVICE);
-        assert_eq!(
-            le_u16(&encode(&Msg::Query { what: QUERY_STOP })[4..6]),
-            VERSION_SERVICE
-        );
+    fn every_message_type_is_stamped_version() {
+        for msg in every_type() {
+            assert_eq!(le_u16(&encode(&msg)[4..6]), VERSION, "{msg:?}");
+        }
     }
 
     #[test]
     fn stale_version_is_rejected() {
         let mut frame = encode(&Msg::Shutdown);
-        frame[4] = VERSION_SERVICE as u8 + 1;
-        assert_eq!(
-            decode(&frame),
-            Err(ProtoError::BadVersion(VERSION_SERVICE + 1))
-        );
-    }
-
-    #[test]
-    fn version_type_mismatch_is_rejected() {
-        // A service frame forged to claim the worker version (checksum
-        // refreshed so only the version/type pairing can object) must
-        // not decode: a worker-vocabulary peer would reject it, so we
-        // must too.
-        let mut frame = encode(&sample_service());
-        frame[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        let body = frame.len() - 4;
-        let ck = checksum(&frame[..body]);
-        frame[body..].copy_from_slice(&ck.to_le_bytes());
-        assert_eq!(decode(&frame), Err(ProtoError::BadVersion(VERSION)));
+        frame[4] = VERSION as u8 + 1;
+        assert_eq!(decode(&frame), Err(ProtoError::BadVersion(VERSION + 1)));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! loopback self-tests use: after accepting that many leases the worker
 //! drops its connection cold, mid-lease, exactly like a crashed host.
 
+use crate::coord::UnitSpec;
 use crate::proto::{self, Msg, ProtoError};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,10 +23,53 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// An application-level unit executor: maps a `(tag, payload)` work
-/// unit to result bytes. Implementations dispatch on the tag prefix
-/// (`"repro."`, `"oracle."`, ...).
+/// unit to result bytes. Each harness implements it once, as its unit
+/// kind: the tag prefix its units carry (`"repro."`, `"oracle."`, ...)
+/// and a small representative batch for `ppa-grid selftest`.
 pub trait Executor: Send + Sync {
     fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String>;
+
+    /// The tag prefix of every unit this kind executes; the default,
+    /// empty, claims every tag.
+    fn prefix(&self) -> &'static str {
+        ""
+    }
+
+    /// Units whose transported results the self-test diffs against
+    /// local execution.
+    fn selftest_units(&self) -> Vec<UnitSpec> {
+        Vec::new()
+    }
+}
+
+/// Unit kinds routed by tag prefix: one [`Executor`] serving every
+/// registered kind, so a single worker process serves every harness.
+pub struct Registry {
+    kinds: Vec<&'static dyn Executor>,
+}
+
+impl Registry {
+    pub fn new(kinds: Vec<&'static dyn Executor>) -> Registry {
+        Registry { kinds }
+    }
+
+    /// The registered kinds, in routing order (first prefix match wins).
+    pub fn kinds(&self) -> &[&'static dyn Executor] {
+        &self.kinds
+    }
+}
+
+impl Executor for Registry {
+    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+        match self.kinds.iter().find(|k| tag.starts_with(k.prefix())) {
+            Some(kind) => kind.execute(tag, payload),
+            None => Err(format!("unknown unit tag '{tag}'")),
+        }
+    }
+
+    fn selftest_units(&self) -> Vec<UnitSpec> {
+        self.kinds.iter().flat_map(|k| k.selftest_units()).collect()
+    }
 }
 
 /// Worker tuning and fault-injection knobs.

@@ -49,6 +49,17 @@ fn results_come_back_in_submission_order() {
     assert_eq!(reports.iter().map(|r| r.executed).sum::<usize>(), 40);
 }
 
+/// [`EchoExecutor`] with a short per-unit delay, so one single-slot
+/// worker cannot drain a batch before the other takes its share.
+struct PacedEchoExecutor;
+
+impl Executor for PacedEchoExecutor {
+    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+        std::thread::sleep(Duration::from_millis(5));
+        EchoExecutor.execute(tag, payload)
+    }
+}
+
 #[test]
 fn a_worker_dying_mid_lease_is_survivable() {
     // Worker 0 drops its socket after two units; its outstanding leases
@@ -61,7 +72,7 @@ fn a_worker_dying_mid_lease_is_survivable() {
         },
         WorkerOptions::default(),
     ];
-    let lb = loopback::start(opts, Arc::new(EchoExecutor), GridConfig::default())
+    let lb = loopback::start(opts, Arc::new(PacedEchoExecutor), GridConfig::default())
         .expect("loopback grid starts");
     let batch = units(12);
     let results = lb.run_units(batch.clone());

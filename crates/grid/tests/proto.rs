@@ -192,11 +192,9 @@ fn stale_versions_are_rejected_by_version_not_checksum() {
     let mut rng = Prng::seed_from_u64(0xF0A4);
     for _ in 0..100 {
         let mut frame = proto::encode(&random_msg(&mut rng));
-        // Any version past the service vocabulary is from the future;
-        // the worker and service versions are the only ones this build
-        // speaks.
-        let bad_version =
-            (proto::VERSION_SERVICE + 1 + rng.random_below(1000) as u16).to_le_bytes();
+        // Any version past the current one is from the future; it is
+        // the only version this build speaks.
+        let bad_version = (proto::VERSION + 1 + rng.random_below(1000) as u16).to_le_bytes();
         frame[4..6].copy_from_slice(&bad_version);
         // Re-seal the frame so the *only* defect is the version: a
         // stale peer computes a valid checksum over its own frames.
@@ -204,38 +202,26 @@ fn stale_versions_are_rejected_by_version_not_checksum() {
         let ck = proto::checksum(&frame[..end]);
         frame[end..].copy_from_slice(&ck.to_le_bytes());
         match proto::decode(&frame) {
-            Err(ProtoError::BadVersion(v)) => {
-                assert_ne!(v, proto::VERSION);
-                assert_ne!(v, proto::VERSION_SERVICE);
-            }
+            Err(ProtoError::BadVersion(v)) => assert_ne!(v, proto::VERSION),
             other => panic!("stale version gave {other:?}"),
         }
     }
 }
 
 #[test]
-fn cross_version_forgeries_are_rejected() {
-    // Swapping the version stamp between the two live vocabularies
-    // (worker <-> service) must fail even with a re-sealed checksum:
-    // each type belongs to exactly one version.
+fn split_vocabulary_versions_are_rejected() {
+    // Versions 4 (worker frames) and 5 (service frames) predate the
+    // single version; a peer still stamping either must be refused even
+    // when its frames are otherwise intact.
     let mut rng = Prng::seed_from_u64(0xF0A9);
     for _ in 0..200 {
-        let msg = random_msg(&mut rng);
-        let mut frame = proto::encode(&msg);
-        let stamped = u16::from_le_bytes([frame[4], frame[5]]);
-        let forged = if stamped == proto::VERSION {
-            proto::VERSION_SERVICE
-        } else {
-            proto::VERSION
-        };
-        frame[4..6].copy_from_slice(&forged.to_le_bytes());
+        let mut frame = proto::encode(&random_msg(&mut rng));
+        let old = 4 + rng.random_below(2) as u16;
+        frame[4..6].copy_from_slice(&old.to_le_bytes());
         let end = frame.len() - 4;
         let ck = proto::checksum(&frame[..end]);
         frame[end..].copy_from_slice(&ck.to_le_bytes());
-        match proto::decode(&frame) {
-            Err(_) => {}
-            Ok((decoded, _)) => panic!("cross-version forgery decoded to {decoded:?}"),
-        }
+        assert_eq!(proto::decode(&frame), Err(ProtoError::BadVersion(old)));
     }
 }
 
@@ -300,7 +286,7 @@ fn torn_payload_fields_are_malformed_not_panics() {
             let body = random_bytes(&mut rng, body_len);
             let mut frame = Vec::new();
             frame.extend_from_slice(&proto::MAGIC.to_le_bytes());
-            frame.extend_from_slice(&proto::frame_version(ty).to_le_bytes());
+            frame.extend_from_slice(&proto::VERSION.to_le_bytes());
             frame.push(ty);
             frame.push(0);
             frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -324,7 +310,7 @@ fn huge_submit_counts_fail_without_allocating() {
     body.extend_from_slice(&u32::MAX.to_le_bytes()); // unit count
     let mut frame = Vec::new();
     frame.extend_from_slice(&proto::MAGIC.to_le_bytes());
-    frame.extend_from_slice(&proto::VERSION_SERVICE.to_le_bytes());
+    frame.extend_from_slice(&proto::VERSION.to_le_bytes());
     frame.push(7); // Submit
     frame.push(0);
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());

@@ -1,87 +1,53 @@
-//! `ppa-grid` — the standalone grid front-end.
+//! `ppa-grid` — the standalone grid worker and self-test.
 //!
 //! ```text
-//! # host A: run the persistent service daemon (the default mode)
-//! ppa-grid serve --listen 0.0.0.0:7171 --checkpoint /var/tmp/ppa.ppsc
+//! # host A: the persistent service daemon (see `ppa-serve`)
+//! ppa-serve daemon --listen 0.0.0.0:7171 --checkpoint /var/tmp/ppa.ppsc
 //!
 //! # hosts B, C: execute work units until the daemon stops
 //! ppa-grid work --connect hostA:7171 --jobs 8
-//!
-//! # one-shot: render a selection across workers, then exit
-//! ppa-grid serve --oneshot --listen 0.0.0.0:7171 --min-workers 2 all
 //!
 //! # single host: loopback self-test of the whole stack
 //! ppa-grid selftest --workers 3
 //! ```
 //!
-//! `serve` without experiments runs the `ppa-serve` daemon: a
-//! long-lived coordinator with a content-addressed result cache that
-//! any number of `repro --grid serve:...`, `ppa-verify oracle --grid
-//! serve:...`, and `ppa-litmus run --grid serve:...` clients submit
-//! to concurrently. With `--oneshot` (plus experiment ids) it renders
-//! the selection exactly like `repro` does — stdout byte-identical to
-//! a local run — and exits. `work` executes the benchmark (`repro.*`),
-//! oracle (`oracle.*`), litmus (`litmus.*`), and design-space
-//! (`dse.*`) unit vocabularies, so one worker process serves every
-//! client alike. `selftest` runs a loopback grid — including an
-//! injected mid-lease worker death — and checks the transported
-//! results byte-for-byte against local execution.
+//! Both subcommands route through one [`Registry`] holding every
+//! harness's unit kind — benchmark (`repro.*`), oracle (`oracle.*`),
+//! litmus (`litmus.*`), and design-space (`dse.*`) — so one worker
+//! process serves every `repro`/`ppa-verify`/`ppa-litmus`/`ppa-dse`
+//! client of a daemon alike. `selftest` runs each kind's self-test
+//! units over a loopback grid — including an injected mid-lease worker
+//! death — and checks the transported results byte-for-byte against
+//! local execution.
 
-use ppa_bench::{experiments, gridwork};
-use ppa_grid::coord::{Coordinator, GridConfig};
+use ppa_grid::coord::GridConfig;
 use ppa_grid::loopback;
-use ppa_grid::worker::{run_worker, Executor, WorkerOptions};
+use ppa_grid::worker::{run_worker, Executor, Registry, WorkerOptions};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Routes both harnesses' unit vocabularies to their dispatchers.
-struct CombinedExecutor;
-
-impl Executor for CombinedExecutor {
-    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        if tag.starts_with("repro.") {
-            gridwork::execute(tag, payload)
-        } else if tag.starts_with("oracle.") {
-            ppa_verify::grid::execute(tag, payload)
-        } else if tag.starts_with("litmus.") {
-            ppa_litmus::gridwork::execute(tag, payload)
-        } else if tag.starts_with("dse.") {
-            ppa_dse::gridwork::execute(tag, payload)
-        } else {
-            Err(format!("unknown unit tag '{tag}'"))
-        }
-    }
+/// Every harness's unit kind, routed by tag prefix.
+fn registry() -> Registry {
+    Registry::new(vec![
+        &ppa_bench::gridwork::BenchExecutor,
+        &ppa_verify::grid::OracleKind,
+        &ppa_litmus::gridwork::LitmusKind,
+        &ppa_dse::gridwork::DseKind,
+    ])
 }
 
 fn usage() -> ! {
-    eprintln!("usage: ppa-grid <serve|work|selftest> [options]");
-    eprintln!();
-    eprintln!("  serve --listen HOST:PORT [--checkpoint FILE]");
-    eprintln!("        [--checkpoint-interval SECS] [--metrics-json FILE]");
-    eprintln!("        [--port-file FILE] [--cache-max-entries N]");
-    eprintln!("        [--cache-max-bytes N]");
-    eprintln!("      run the persistent service daemon (default mode): workers");
-    eprintln!("      and any number of repro/ppa-verify/ppa-litmus/ppa-dse");
-    eprintln!("      clients share the port; results are served from the");
-    eprintln!("      content-addressed cache when available (LRU-bounded by the");
-    eprintln!("      --cache-max-* limits), and with --checkpoint the queue and");
-    eprintln!("      cache survive restarts (see also `ppa-serve`)");
-    eprintln!();
-    eprintln!("  serve --oneshot --listen HOST:PORT [--min-workers N]");
-    eprintln!("        [--metrics-json FILE] <experiment>...|all");
-    eprintln!("      bind a coordinator, wait for N workers (default 1), render");
-    eprintln!("      the selected experiments across them (stdout is");
-    eprintln!("      byte-identical to a local `repro` run), then exit");
+    eprintln!("usage: ppa-grid <work|selftest> [options]");
     eprintln!();
     eprintln!("  work --connect HOST:PORT [--jobs N]");
-    eprintln!("      execute work units for a coordinator until it shuts down;");
-    eprintln!("      N concurrent units (default: PPA_JOBS, else 1; 0 = auto)");
+    eprintln!("      execute work units for a `ppa-serve daemon` until it");
+    eprintln!("      shuts down; N concurrent units (default: PPA_JOBS, else 1;");
+    eprintln!("      0 = auto)");
     eprintln!();
     eprintln!("  selftest [--workers N] [--jobs N]");
-    eprintln!("      loopback smoke test: distribute representative benchmark");
-    eprintln!("      and oracle units over N in-process workers (default 2),");
-    eprintln!("      kill one mid-lease, and diff every result against local");
+    eprintln!("      loopback smoke test: distribute the repro, oracle, litmus");
+    eprintln!("      and dse self-test units over N in-process workers (default");
+    eprintln!("      2), kill one mid-lease, and diff every result against local");
     eprintln!("      execution");
     eprintln!();
     eprintln!("  verbosity: -q (errors only), -v (info), -vv (debug);");
@@ -100,194 +66,6 @@ fn verbosity_flag(a: &str) -> bool {
     };
     ppa_obs::log::set_level(level);
     true
-}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut listen: Option<String> = None;
-    let mut min_workers = 1usize;
-    let mut oneshot = false;
-    let mut metrics_json: Option<std::path::PathBuf> = None;
-    let mut checkpoint: Option<std::path::PathBuf> = None;
-    let mut checkpoint_interval: Option<Duration> = None;
-    let mut port_file: Option<std::path::PathBuf> = None;
-    let mut cache_max_entries: Option<usize> = None;
-    let mut cache_max_bytes: Option<u64> = None;
-    let mut ids: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => listen = it.next().cloned(),
-            "--oneshot" => oneshot = true,
-            "--min-workers" => {
-                min_workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--jobs" => ppa_pool::set_jobs(
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage()),
-            ),
-            "--metrics-json" => {
-                metrics_json = Some(std::path::PathBuf::from(
-                    it.next().cloned().unwrap_or_else(|| usage()),
-                ))
-            }
-            "--checkpoint" => {
-                checkpoint = Some(std::path::PathBuf::from(
-                    it.next().cloned().unwrap_or_else(|| usage()),
-                ))
-            }
-            "--checkpoint-interval" => {
-                let secs: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                checkpoint_interval = Some(Duration::from_secs(secs.max(1)));
-            }
-            "--port-file" => {
-                port_file = Some(std::path::PathBuf::from(
-                    it.next().cloned().unwrap_or_else(|| usage()),
-                ))
-            }
-            "--cache-max-entries" => {
-                cache_max_entries = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--cache-max-bytes" => {
-                cache_max_bytes = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            a if verbosity_flag(a) => {}
-            _ => ids.push(a.clone()),
-        }
-    }
-    let listen = listen.unwrap_or_else(|| usage());
-    if !oneshot {
-        // Daemon is the default serve mode; experiment ids only make
-        // sense for the one-shot render path.
-        if !ids.is_empty() {
-            eprintln!("ppa-grid: experiment arguments require --oneshot");
-            return ExitCode::FAILURE;
-        }
-        let mut opts = ppa_serve::DaemonOptions {
-            addr: listen,
-            checkpoint,
-            metrics_json,
-            cache: ppa_serve::CacheLimits {
-                max_entries: cache_max_entries,
-                max_bytes: cache_max_bytes,
-            },
-            ..Default::default()
-        };
-        if let Some(interval) = checkpoint_interval {
-            opts.checkpoint_interval = interval;
-        }
-        let daemon = match ppa_serve::Daemon::start(opts) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("ppa-grid: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let addr = daemon.local_addr();
-        ppa_obs::info!("grid", "serve daemon listening on {addr}");
-        if let Some(path) = &port_file {
-            let write = || -> std::io::Result<()> {
-                use std::io::Write;
-                let mut f = std::fs::File::create(path)?;
-                writeln!(f, "{addr}")
-            };
-            if let Err(e) = write() {
-                eprintln!("ppa-grid: failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        daemon.run();
-        ppa_obs::info!("grid", "serve daemon stopped");
-        return ExitCode::SUCCESS;
-    }
-    if ids.is_empty() {
-        usage();
-    }
-    let registry = experiments::all_experiments();
-    let selected: Vec<(&'static str, experiments::Experiment)> = if ids.iter().any(|i| i == "all") {
-        registry
-    } else {
-        ids.iter()
-            .map(|id| {
-                registry
-                    .iter()
-                    .find(|(n, _)| n == id)
-                    .copied()
-                    .unwrap_or_else(|| {
-                        eprintln!("ppa-grid: unknown experiment '{id}'");
-                        std::process::exit(2);
-                    })
-            })
-            .collect()
-    };
-
-    let coord = match Coordinator::bind(listen.as_str(), GridConfig::default()) {
-        Ok(c) => Arc::new(c),
-        Err(e) => {
-            eprintln!("ppa-grid: failed to bind {listen}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    ppa_obs::info!(
-        "grid",
-        "listening on {}; waiting for {min_workers} worker(s)...",
-        coord.local_addr()
-    );
-    if !coord.wait_for_workers(min_workers, Duration::from_secs(600)) {
-        eprintln!("ppa-grid: {min_workers} worker(s) did not connect within 600s");
-        return ExitCode::FAILURE;
-    }
-    ppa_obs::info!("grid", "{} worker(s) connected", coord.live_workers());
-    gridwork::install(gridwork::GridHandle::Serve(Arc::clone(&coord)));
-
-    let render =
-        || ppa_pool::par_map_ordered(selected, |(id, f)| (id, gridwork::render_experiment(id, f)));
-    let rendered = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(render)) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("experiment panicked");
-            eprintln!("ppa-grid: {msg}");
-            coord.shutdown();
-            return ExitCode::FAILURE;
-        }
-    };
-    for (id, table) in rendered {
-        println!("=== {id} ===");
-        println!("{table}");
-    }
-    let s = coord.stats();
-    ppa_obs::info!(
-        "grid",
-        "dispatched={} completed={} redispatched={} duplicates={} unit_errors={} workers_joined={} workers_lost={}",
-        s.dispatched, s.completed, s.redispatched, s.duplicates, s.unit_errors, s.workers_joined, s.workers_lost
-    );
-    coord.shutdown();
-    if let Some(path) = &metrics_json {
-        ppa_pool::export_metrics();
-        if let Err(e) = ppa_obs::snapshot().write_json_file(path, false) {
-            eprintln!("ppa-grid: failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_work(args: &[String]) -> ExitCode {
@@ -314,7 +92,7 @@ fn cmd_work(args: &[String]) -> ExitCode {
             jobs,
             ..WorkerOptions::default()
         },
-        Arc::new(CombinedExecutor),
+        Arc::new(registry()),
     ) {
         Ok(report) => {
             ppa_obs::info!("grid", "done; executed {} unit(s)", report.executed);
@@ -349,18 +127,14 @@ fn cmd_selftest(args: &[String]) -> ExitCode {
     }
     let workers = workers.max(2); // one dies; at least one must survive
 
-    // Representative traffic: every fig11 app cell (one per workload)
-    // plus a small oracle plan/cell batch, at trace lengths that keep
-    // the self-test in the seconds range.
-    let mut units = gridwork::units_for("fig11", 4_000).expect("fig11 decomposes");
-    units.extend(ppa_verify::grid::selftest_units());
-    units.extend(ppa_litmus::gridwork::selftest_units());
-    units.extend(ppa_dse::gridwork::selftest_units());
+    // Representative traffic: every kind's self-test units, at trace
+    // lengths that keep the self-test in the seconds range.
+    let exec = Arc::new(registry());
+    let units = exec.selftest_units();
     let expected: Vec<Vec<u8>> = units
         .iter()
         .map(|u| {
-            CombinedExecutor
-                .execute(&u.tag, &u.payload)
+            exec.execute(&u.tag, &u.payload)
                 .expect("selftest units execute locally")
         })
         .collect();
@@ -372,7 +146,6 @@ fn cmd_selftest(args: &[String]) -> ExitCode {
         ..WorkerOptions::default()
     }];
     opts.extend(vec![WorkerOptions::default(); workers - 1]);
-    let exec: Arc<dyn Executor> = Arc::new(CombinedExecutor);
     let lb = match loopback::start(opts, exec, GridConfig::default()) {
         Ok(lb) => lb,
         Err(e) => {
@@ -434,9 +207,48 @@ fn cmd_selftest(args: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
         Some("work") => cmd_work(&args[1..]),
         Some("selftest") => cmd_selftest(&args[1..]),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kinds_have_disjoint_prefixes() {
+        let reg = registry();
+        let prefixes: Vec<&str> = reg.kinds().iter().map(|k| k.prefix()).collect();
+        assert_eq!(prefixes, ["repro.", "oracle.", "litmus.", "dse."]);
+        for (i, a) in prefixes.iter().enumerate() {
+            for b in &prefixes[i + 1..] {
+                assert!(!a.starts_with(b) && !b.starts_with(a), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn registry_routes_every_kind_to_itself() {
+        let reg = registry();
+        for kind in reg.kinds() {
+            let units = kind.selftest_units();
+            assert!(
+                !units.is_empty(),
+                "{} has no self-test units",
+                kind.prefix()
+            );
+            for u in units {
+                let direct = kind.execute(&u.tag, &u.payload).expect("unit executes");
+                assert_eq!(reg.execute(&u.tag, &u.payload), Ok(direct), "{}", u.tag);
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_tags_are_named_in_the_error() {
+        let err = registry().execute("zzz.x", &[]).unwrap_err();
+        assert!(err.contains("zzz.x"), "{err}");
     }
 }

@@ -11,7 +11,7 @@
 //! worker death; telemetry goes to stderr / `--metrics-json` only.
 
 use ppa_litmus::generator::{self, GenConfig};
-use ppa_litmus::gridwork::{self, GridHandle, LitmusExecutor};
+use ppa_litmus::gridwork::{self, LitmusKind};
 use ppa_litmus::run::{publish_metrics, render_batch, RunConfig};
 use ppa_litmus::{allowed_states, waivers};
 use std::sync::Arc;
@@ -140,23 +140,19 @@ fn main() {
             true
         }
         "run" => {
-            let mode = match &opts.grid {
-                Some(v) => ppa_grid::parse_grid_mode(v),
-                None => ppa_grid::grid_mode_from_env(),
-            }
-            .unwrap_or_else(|e| {
+            let mode = ppa_grid::resolve_grid_mode(opts.grid.as_deref()).unwrap_or_else(|e| {
                 eprintln!("ppa-litmus: {e}");
                 std::process::exit(2);
             });
-            let handle: Option<GridHandle> = match gridwork::attach(mode, Arc::new(LitmusExecutor))
-            {
-                Ok(h) => h,
-                Err(e) => {
-                    eprintln!("ppa-litmus: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match gridwork::run_batch(&tests, &run_cfg, handle.as_ref()) {
+            let handle = ppa_serve::attach(mode, Arc::new(LitmusKind)).unwrap_or_else(|e| {
+                eprintln!("ppa-litmus: {e}");
+                std::process::exit(1);
+            });
+            let rows = gridwork::run_batch(&tests, &run_cfg, handle.as_ref().map(|h| h.runner()));
+            if let Some(h) = &handle {
+                h.finish();
+            }
+            match rows {
                 Ok(rows) => {
                     print!("{}", render_batch(&rows, opts.tests, opts.seed, &run_cfg));
                     publish_metrics(&rows);
@@ -167,9 +163,6 @@ fn main() {
                         .collect();
                     if !unexercised.is_empty() {
                         println!("  stale waivers: {}", unexercised.join(", "));
-                    }
-                    if let Some(GridHandle::Loopback(lb)) = handle {
-                        lb.shutdown();
                     }
                     rows.iter().all(|r| r.passed()) && unexercised.is_empty()
                 }

@@ -8,12 +8,9 @@
 
 use crate::generator::{LitmusOp, LitmusTest};
 use crate::run::{run_test, RunConfig, TestRow};
-use ppa_grid::coord::{Coordinator, GridConfig, UnitRunner, UnitSpec};
-use ppa_grid::loopback::{self, Loopback};
+use ppa_grid::coord::{UnitRunner, UnitSpec};
 use ppa_grid::proto::{ByteReader, ByteWriter};
-use ppa_grid::{Executor, GridMode};
-use ppa_serve::ServeClient;
-use std::sync::Arc;
+use ppa_grid::Executor;
 
 fn op_code(op: LitmusOp) -> (u8, u8) {
     match op {
@@ -112,124 +109,56 @@ fn decode_row(payload: &[u8]) -> Result<TestRow, String> {
     })
 }
 
-/// Worker-side dispatcher for `litmus.*` unit tags.
-pub fn execute(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-    if !tag.starts_with("litmus.test:") {
-        return Err(format!("unknown unit tag '{tag}'"));
-    }
-    let e = |e: ppa_grid::proto::ProtoError| e.to_string();
-    let mut r = ByteReader::new(payload);
-    let tear_stride = r.u64().map_err(e)?;
-    let n_cores = r.u32().map_err(e)?;
-    // Counts come off the wire unvalidated; push without preallocating so
-    // a corrupt or truncated payload fails at the per-element reads
-    // instead of requesting a multi-gigabyte buffer up front.
-    let mut cores = Vec::new();
-    for _ in 0..n_cores {
-        let n_ops = r.u32().map_err(e)?;
-        let mut ops = Vec::new();
-        for _ in 0..n_ops {
-            let code = r.u8().map_err(e)?;
-            let w = r.u8().map_err(e)?;
-            ops.push(op_decode(code, w)?);
-        }
-        cores.push(ops);
-    }
-    r.finish().map_err(e)?;
-    // Canonicalization is deterministic, so rebuilding from canonical cores
-    // reproduces the exact test (and its name) the coordinator shipped.
-    let test = LitmusTest::from_cores(cores);
-    let cfg = RunConfig {
-        tear_stride,
-        fault: None,
-    };
-    Ok(encode_row(&run_test(&test, &cfg)))
-}
+/// The `litmus.*` unit kind.
+pub struct LitmusKind;
 
-/// [`Executor`] over the litmus unit vocabulary.
-pub struct LitmusExecutor;
-
-impl Executor for LitmusExecutor {
+impl Executor for LitmusKind {
     fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        execute(tag, payload)
-    }
-}
-
-/// A small representative batch for `ppa-grid selftest`.
-pub fn selftest_units() -> Vec<UnitSpec> {
-    let cfg = RunConfig::default();
-    crate::generator::generate(&crate::generator::GenConfig { seed: 1, tests: 4 })
-        .iter()
-        .enumerate()
-        .map(|(i, t)| test_unit(i, t, &cfg))
-        .collect()
-}
-
-/// A live grid attachment owned by the `ppa-litmus` binary.
-pub enum GridHandle {
-    Loopback(Loopback),
-    Serve(Arc<Coordinator>),
-    Remote(ServeClient),
-}
-
-impl GridHandle {
-    /// The runner work units are submitted through.
-    pub fn runner(&self) -> &dyn UnitRunner {
-        match self {
-            GridHandle::Loopback(l) => l.coordinator().as_ref(),
-            GridHandle::Serve(c) => c.as_ref(),
-            GridHandle::Remote(client) => client,
+        if !tag.starts_with("litmus.test:") {
+            return Err(format!("unknown unit tag '{tag}'"));
         }
-    }
-
-    /// The locally owned coordinator, when the attachment has one
-    /// (`Remote` submits to a daemon-owned coordinator instead).
-    pub fn coordinator(&self) -> Option<&Arc<Coordinator>> {
-        match self {
-            GridHandle::Loopback(l) => Some(l.coordinator()),
-            GridHandle::Serve(c) => Some(c),
-            GridHandle::Remote(_) => None,
-        }
-    }
-}
-
-/// Attaches to the requested grid mode with `exec` serving loopback
-/// workers; `Ok(None)` for [`GridMode::Off`].
-pub fn attach(mode: GridMode, exec: Arc<dyn Executor>) -> Result<Option<GridHandle>, String> {
-    match mode {
-        GridMode::Off => Ok(None),
-        GridMode::Loopback(n) => {
-            let jobs = ppa_pool::configured_jobs();
-            let mut workers = vec![
-                ppa_grid::WorkerOptions {
-                    jobs,
-                    ..Default::default()
-                };
-                n
-            ];
-            // Fault injection for the determinism checks: the first
-            // loopback worker drops its connection mid-lease after N
-            // units, and the output must still be byte-identical.
-            if let Some(k) = std::env::var("PPA_GRID_DIE_AFTER")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                workers[0].die_after = Some(k);
+        let e = |e: ppa_grid::proto::ProtoError| e.to_string();
+        let mut r = ByteReader::new(payload);
+        let tear_stride = r.u64().map_err(e)?;
+        let n_cores = r.u32().map_err(e)?;
+        // Counts come off the wire unvalidated; push without
+        // preallocating so a corrupt or truncated payload fails at the
+        // per-element reads instead of requesting a multi-gigabyte
+        // buffer up front.
+        let mut cores = Vec::new();
+        for _ in 0..n_cores {
+            let n_ops = r.u32().map_err(e)?;
+            let mut ops = Vec::new();
+            for _ in 0..n_ops {
+                let code = r.u8().map_err(e)?;
+                let w = r.u8().map_err(e)?;
+                ops.push(op_decode(code, w)?);
             }
-            let lb = loopback::start(workers, exec, GridConfig::default())
-                .map_err(|e| format!("failed to start loopback grid: {e}"))?;
-            ppa_obs::info!(
-                "grid",
-                "loopback with {n} workers on {}",
-                lb.coordinator().local_addr()
-            );
-            Ok(Some(GridHandle::Loopback(lb)))
+            cores.push(ops);
         }
-        GridMode::Serve(addr) => {
-            let client = ServeClient::connect(addr.as_str())?;
-            ppa_obs::info!("grid", "submitting to ppa-serve daemon at {addr}");
-            Ok(Some(GridHandle::Remote(client)))
-        }
+        r.finish().map_err(e)?;
+        // Canonicalization is deterministic, so rebuilding from canonical
+        // cores reproduces the exact test (and its name) the coordinator
+        // shipped.
+        let test = LitmusTest::from_cores(cores);
+        let cfg = RunConfig {
+            tear_stride,
+            fault: None,
+        };
+        Ok(encode_row(&run_test(&test, &cfg)))
+    }
+
+    fn prefix(&self) -> &'static str {
+        "litmus."
+    }
+
+    fn selftest_units(&self) -> Vec<UnitSpec> {
+        let cfg = RunConfig::default();
+        crate::generator::generate(&crate::generator::GenConfig { seed: 1, tests: 4 })
+            .iter()
+            .enumerate()
+            .map(|(i, t)| test_unit(i, t, &cfg))
+            .collect()
     }
 }
 
@@ -238,18 +167,18 @@ pub fn attach(mode: GridMode, exec: Arc<dyn Executor>) -> Result<Option<GridHand
 pub fn run_batch(
     tests: &[LitmusTest],
     cfg: &RunConfig,
-    grid: Option<&GridHandle>,
+    grid: Option<&dyn UnitRunner>,
 ) -> Result<Vec<TestRow>, String> {
     match grid {
         None => Ok(crate::run::run_batch_local(tests, cfg)),
-        Some(handle) => {
+        Some(runner) => {
             let units = tests
                 .iter()
                 .enumerate()
                 .map(|(i, t)| test_unit(i, t, cfg))
                 .collect();
             let mut rows = Vec::with_capacity(tests.len());
-            for res in handle.runner().run_units(units) {
+            for res in runner.run_units(units) {
                 let outcome = res.map_err(|e| e.to_string())?;
                 rows.push(decode_row(&outcome.payload)?);
             }
@@ -285,7 +214,7 @@ mod tests {
         let cfg = RunConfig::default();
         for (i, t) in tests.iter().enumerate() {
             let unit = test_unit(i, t, &cfg);
-            let payload = execute(&unit.tag, &unit.payload).unwrap();
+            let payload = LitmusKind.execute(&unit.tag, &unit.payload).unwrap();
             let row = decode_row(&payload).unwrap();
             assert_eq!(row, run_test(t, &cfg));
         }

@@ -5,8 +5,9 @@
 use ppa_grid::coord::GridConfig;
 use ppa_grid::loopback;
 use ppa_grid::worker::WorkerOptions;
+use ppa_grid::Executor;
 use ppa_litmus::generator::{self, GenConfig};
-use ppa_litmus::gridwork::{self, LitmusExecutor};
+use ppa_litmus::gridwork::{self, LitmusKind};
 use ppa_litmus::run::{render_batch, run_batch_local, RunConfig};
 use ppa_pool::ThreadPool;
 use std::sync::Arc;
@@ -43,7 +44,11 @@ fn transported_tests_match_local_execution_despite_worker_death() {
         .collect();
     let expected: Vec<Vec<u8>> = units
         .iter()
-        .map(|u| gridwork::execute(&u.tag, &u.payload).expect("units execute locally"))
+        .map(|u| {
+            LitmusKind
+                .execute(&u.tag, &u.payload)
+                .expect("units execute locally")
+        })
         .collect();
 
     let opts = vec![
@@ -54,7 +59,7 @@ fn transported_tests_match_local_execution_despite_worker_death() {
         WorkerOptions::default(),
         WorkerOptions::default(),
     ];
-    let lb = loopback::start(opts, Arc::new(LitmusExecutor), GridConfig::default())
+    let lb = loopback::start(opts, Arc::new(LitmusKind), GridConfig::default())
         .expect("loopback grid starts");
     let results = lb.run_units(units.clone());
     for ((unit, exp), res) in units.iter().zip(&expected).zip(results) {

@@ -4,7 +4,7 @@
 //! `eprintln!`; this module gives that chatter levels so the default
 //! experience is quiet. The level comes from `PPA_LOG`
 //! (`error|warn|info|debug`, default [`Level::Warn`]) and can be
-//! overridden programmatically — `ppa-grid serve|work -q/-v/-vv` maps
+//! overridden programmatically — `ppa-grid work|selftest -q/-v/-vv` maps
 //! to error/info/debug via [`set_level`].
 //!
 //! Lines print as `<target>: <message>` — the target names the

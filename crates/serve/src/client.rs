@@ -4,7 +4,7 @@
 //!
 //! [`ServeClient`] implements [`UnitRunner`], so front-ends use it
 //! exactly like a local coordinator: submit a batch, receive outcomes
-//! in submission order. Under the hood each batch becomes a v3
+//! in submission order. Under the hood each batch becomes a
 //! `Submit` and the daemon streams `Result` frames back in index
 //! order. The client is resilient to the daemon restarting mid-batch:
 //! on a broken connection it reconnects and sends `Subscribe` from the

@@ -2,8 +2,8 @@
 //! concurrent client submissions on the same port its workers dial.
 //!
 //! Connections are demultiplexed by their first frame: `Hello` marks a
-//! v2 worker (handled entirely inside `ppa-grid`), while `Submit`,
-//! `Subscribe`, and `Query` mark v3 client sessions routed here through
+//! worker (handled entirely inside `ppa-grid`), while `Submit`,
+//! `Subscribe`, and `Query` mark client sessions routed here through
 //! the [`ppa_grid::ConnDispatch`] hook. Each submission is fronted by
 //! the content-addressed [`ResultCache`]: cached cells complete
 //! instantly without touching the queue, misses go to the prioritized

@@ -16,14 +16,11 @@
 //! identity, so exhausted retries name the failing app and point.
 
 use crate::oracle::{self, OracleOutcome};
-use ppa_grid::coord::{Coordinator, GridConfig, UnitRunner, UnitSpec};
-use ppa_grid::loopback::{self, Loopback};
+use ppa_grid::coord::{UnitRunner, UnitSpec};
 use ppa_grid::proto::{ByteReader, ByteWriter};
-use ppa_grid::{Executor, GridMode};
+use ppa_grid::Executor;
 use ppa_prng::Prng;
-use ppa_serve::ServeClient;
 use ppa_workloads::registry;
-use std::sync::Arc;
 
 /// One row of `ppa-verify oracle` output, whether computed locally or
 /// returned by a grid cell.
@@ -131,68 +128,75 @@ pub fn oracle_rows(
     Ok(rows)
 }
 
-/// A small representative batch of oracle units (plans plus cells, one
-/// of them mid-flush) for `ppa-grid selftest`. Fail cycles are fixed
-/// rather than planned: the self-test checks transport fidelity, not
-/// injection coverage.
-pub fn selftest_units() -> Vec<UnitSpec> {
-    let mut units = Vec::new();
-    for (i, app) in registry::all().into_iter().take(3).enumerate() {
-        units.push(plan_unit(app.name, 800, 1));
-        let mid_flush = (i % 3 == 2).then_some(40);
-        units.push(cell_unit(
-            app.name,
-            i,
-            800,
-            1,
-            250 + 50 * i as u64,
-            mid_flush,
-        ));
-    }
-    units
-}
+/// The `oracle.*` unit kind.
+pub struct OracleKind;
 
-/// Worker-side dispatcher for `oracle.*` unit tags.
-pub fn execute(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-    if tag.starts_with("oracle.plan:") {
-        let mut r = ByteReader::new(payload);
-        let app_name = r.str().map_err(|e| e.to_string())?;
-        let len = r.u64().map_err(|e| e.to_string())? as usize;
-        let seed = r.u64().map_err(|e| e.to_string())?;
-        r.finish().map_err(|e| e.to_string())?;
-        let app = registry::by_name(&app_name)
-            .ok_or_else(|| format!("unknown application '{app_name}'"))?;
-        let total = oracle_total_cycles(&app, len, seed);
-        let mut w = ByteWriter::new();
-        w.put_u64(total);
-        Ok(w.into_bytes())
-    } else if tag.starts_with("oracle.cell:") {
-        let mut r = ByteReader::new(payload);
-        let app_name = r.str().map_err(|e| e.to_string())?;
-        let len = r.u64().map_err(|e| e.to_string())? as usize;
-        let seed = r.u64().map_err(|e| e.to_string())?;
-        let fail_cycle = r.u64().map_err(|e| e.to_string())?;
-        let has_mid = r.u8().map_err(|e| e.to_string())? != 0;
-        let mid = r.u64().map_err(|e| e.to_string())?;
-        r.finish().map_err(|e| e.to_string())?;
-        let app = registry::by_name(&app_name)
-            .ok_or_else(|| format!("unknown application '{app_name}'"))?;
-        let trace = app.generate(len, seed);
-        let o = oracle::run_point_with_flush(
-            app.name,
-            &trace,
-            seed,
-            fail_cycle,
-            has_mid.then_some(mid),
-        );
-        let row = OracleRow::from_outcome(&o);
-        let mut w = ByteWriter::new();
-        w.put_u8(row.passed as u8);
-        w.put_u8(row.exercised as u8);
-        w.put_str(&row.failure);
-        Ok(w.into_bytes())
-    } else {
-        Err(format!("unknown unit tag '{tag}'"))
+impl Executor for OracleKind {
+    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+        if tag.starts_with("oracle.plan:") {
+            let mut r = ByteReader::new(payload);
+            let app_name = r.str().map_err(|e| e.to_string())?;
+            let len = r.u64().map_err(|e| e.to_string())? as usize;
+            let seed = r.u64().map_err(|e| e.to_string())?;
+            r.finish().map_err(|e| e.to_string())?;
+            let app = registry::by_name(&app_name)
+                .ok_or_else(|| format!("unknown application '{app_name}'"))?;
+            let total = oracle_total_cycles(&app, len, seed);
+            let mut w = ByteWriter::new();
+            w.put_u64(total);
+            Ok(w.into_bytes())
+        } else if tag.starts_with("oracle.cell:") {
+            let mut r = ByteReader::new(payload);
+            let app_name = r.str().map_err(|e| e.to_string())?;
+            let len = r.u64().map_err(|e| e.to_string())? as usize;
+            let seed = r.u64().map_err(|e| e.to_string())?;
+            let fail_cycle = r.u64().map_err(|e| e.to_string())?;
+            let has_mid = r.u8().map_err(|e| e.to_string())? != 0;
+            let mid = r.u64().map_err(|e| e.to_string())?;
+            r.finish().map_err(|e| e.to_string())?;
+            let app = registry::by_name(&app_name)
+                .ok_or_else(|| format!("unknown application '{app_name}'"))?;
+            let trace = app.generate(len, seed);
+            let o = oracle::run_point_with_flush(
+                app.name,
+                &trace,
+                seed,
+                fail_cycle,
+                has_mid.then_some(mid),
+            );
+            let row = OracleRow::from_outcome(&o);
+            let mut w = ByteWriter::new();
+            w.put_u8(row.passed as u8);
+            w.put_u8(row.exercised as u8);
+            w.put_str(&row.failure);
+            Ok(w.into_bytes())
+        } else {
+            Err(format!("unknown unit tag '{tag}'"))
+        }
+    }
+
+    fn prefix(&self) -> &'static str {
+        "oracle."
+    }
+
+    /// A small representative batch (plans plus cells, one of them
+    /// mid-flush). Fail cycles are fixed rather than planned: the
+    /// self-test checks transport fidelity, not injection coverage.
+    fn selftest_units(&self) -> Vec<UnitSpec> {
+        let mut units = Vec::new();
+        for (i, app) in registry::all().into_iter().take(3).enumerate() {
+            units.push(plan_unit(app.name, 800, 1));
+            let mid_flush = (i % 3 == 2).then_some(40);
+            units.push(cell_unit(
+                app.name,
+                i,
+                800,
+                1,
+                250 + 50 * i as u64,
+                mid_flush,
+            ));
+        }
+        units
     }
 }
 
@@ -205,71 +209,6 @@ fn oracle_total_cycles(app: &ppa_workloads::AppDescriptor, len: usize, seed: u64
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
     let mut core = Core::new(cfg, 0);
     core.run(&trace, &mut mem)
-}
-
-/// [`Executor`] over the verification unit vocabulary.
-pub struct VerifyExecutor;
-
-impl Executor for VerifyExecutor {
-    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        execute(tag, payload)
-    }
-}
-
-/// A live grid attachment owned by the `ppa-verify` binary.
-pub enum GridHandle {
-    Loopback(Loopback),
-    Serve(Arc<Coordinator>),
-    Remote(ServeClient),
-}
-
-impl GridHandle {
-    /// The runner work units are submitted through.
-    pub fn runner(&self) -> &dyn UnitRunner {
-        match self {
-            GridHandle::Loopback(l) => l.coordinator().as_ref(),
-            GridHandle::Serve(c) => c.as_ref(),
-            GridHandle::Remote(client) => client,
-        }
-    }
-
-    /// The locally owned coordinator, when the attachment has one
-    /// (`Remote` submits to a daemon-owned coordinator instead).
-    pub fn coordinator(&self) -> Option<&Arc<Coordinator>> {
-        match self {
-            GridHandle::Loopback(l) => Some(l.coordinator()),
-            GridHandle::Serve(c) => Some(c),
-            GridHandle::Remote(_) => None,
-        }
-    }
-}
-
-/// Attaches to the requested grid mode with `exec` serving loopback
-/// workers; `Ok(None)` for [`GridMode::Off`].
-pub fn attach(mode: GridMode, exec: Arc<dyn Executor>) -> Result<Option<GridHandle>, String> {
-    match mode {
-        GridMode::Off => Ok(None),
-        GridMode::Loopback(n) => {
-            let lb = loopback::start_uniform(
-                n,
-                ppa_pool::configured_jobs(),
-                exec,
-                GridConfig::default(),
-            )
-            .map_err(|e| format!("failed to start loopback grid: {e}"))?;
-            ppa_obs::info!(
-                "grid",
-                "loopback with {n} workers on {}",
-                lb.coordinator().local_addr()
-            );
-            Ok(Some(GridHandle::Loopback(lb)))
-        }
-        GridMode::Serve(addr) => {
-            let client = ServeClient::connect(addr.as_str())?;
-            ppa_obs::info!("grid", "submitting to ppa-serve daemon at {addr}");
-            Ok(Some(GridHandle::Remote(client)))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -290,7 +229,9 @@ mod tests {
             let mid_flush = (i % 3 == 2).then_some(interrupt);
             assert_eq!(fail_cycle, o.fail_cycle, "planner diverged from run_app");
             let unit = cell_unit(app.name, i, 800, 7, fail_cycle, mid_flush);
-            let bytes = execute(&unit.tag, &unit.payload).expect("cell executes");
+            let bytes = OracleKind
+                .execute(&unit.tag, &unit.payload)
+                .expect("cell executes");
             let mut r = ByteReader::new(&bytes);
             assert_eq!(r.u8().unwrap() != 0, o.passed());
             assert_eq!(r.u8().unwrap() != 0, oracle::exercised_recovery(o));
@@ -300,12 +241,9 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_errors() {
-        assert!(execute(
-            "oracle.plan:nosuchapp",
-            &plan_unit("nosuchapp", 100, 1).payload
-        )
-        .is_err());
-        assert!(execute("repro.app:fig1/gcc", &[]).is_err());
-        assert!(execute("oracle.cell:mcf#0", b"torn").is_err());
+        let plan = plan_unit("nosuchapp", 100, 1);
+        assert!(OracleKind.execute(&plan.tag, &plan.payload).is_err());
+        assert!(OracleKind.execute("repro.app:fig1/gcc", &[]).is_err());
+        assert!(OracleKind.execute("oracle.cell:mcf#0", b"torn").is_err());
     }
 }

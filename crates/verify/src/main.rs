@@ -15,6 +15,7 @@
 //! and content are identical at any job count.
 
 use ppa_isa::transform::{AutoPersistPass, CapriPass, ReplayCachePass, TracePass};
+use ppa_serve::GridHandle;
 use ppa_verify::analysis::analyze_raw_trace;
 use ppa_verify::analysis::crosscheck::run_crosscheck;
 use ppa_verify::analysis::race::{detect_races, inject_second_writer, strip_syncs, RaceRule};
@@ -22,6 +23,7 @@ use ppa_verify::lint::{LintProfile, Severity};
 use ppa_verify::{grid, lint_trace, mutation, oracle, runner, smp_oracle};
 use ppa_workloads::registry;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 struct Options {
     len: usize,
@@ -94,6 +96,8 @@ fn usage() -> ! {
     eprintln!("environment:");
     eprintln!("  PPA_JOBS=N           same as --jobs (the flag wins)");
     eprintln!("  PPA_GRID=MODE        same as --grid (the flag wins)");
+    eprintln!("  PPA_GRID_DIE_AFTER=N loopback fault injection: worker 0 drops");
+    eprintln!("                       its connection after N units (testing)");
     eprintln!("  PPA_ORACLE_POINTS=N  default for --points");
     eprintln!("  PPA_POOL_STATS=1     print pool counters to stderr on exit");
     eprintln!("  PPA_LOG=LEVEL        stderr log level: error|warn|info|debug (default warn)");
@@ -399,7 +403,7 @@ fn cmd_analyze(opts: &Options) -> bool {
 
 /// `ppa-verify oracle`: randomized crash injections across all
 /// workloads, distributed over the grid when one is attached.
-fn cmd_oracle(opts: &Options, grid_handle: Option<&grid::GridHandle>) -> bool {
+fn cmd_oracle(opts: &Options, grid_handle: Option<&GridHandle>) -> bool {
     println!(
         "== oracle: {} injections x {} workloads, len={} seed={}",
         opts.points,
@@ -603,21 +607,20 @@ fn cmd_mutate(_opts: &Options) -> bool {
 
 fn main() -> ExitCode {
     let (cmd, opts) = parse_args();
-    // The grid (if requested) distributes the `oracle` stage; the other
-    // stages always run locally.
-    let mode = match &opts.grid {
-        Some(v) => ppa_grid::parse_grid_mode(v),
-        None => ppa_grid::grid_mode_from_env(),
-    }
-    .unwrap_or_else(|e| {
+    let mode = ppa_grid::resolve_grid_mode(opts.grid.as_deref()).unwrap_or_else(|e| {
         eprintln!("ppa-verify: {e}");
         std::process::exit(2);
     });
-    let grid_handle =
-        grid::attach(mode, std::sync::Arc::new(grid::VerifyExecutor)).unwrap_or_else(|e| {
+    // The grid (if requested) distributes the `oracle` stage; the other
+    // stages always run locally, so only `oracle` and `all` attach.
+    let grid_handle = if matches!(cmd.as_str(), "oracle" | "all") {
+        ppa_serve::attach(mode, Arc::new(grid::OracleKind)).unwrap_or_else(|e| {
             eprintln!("ppa-verify: {e}");
             std::process::exit(1);
-        });
+        })
+    } else {
+        None
+    };
     let ok = match cmd.as_str() {
         "check" => cmd_check(&opts),
         "lint" => cmd_lint(&opts),
@@ -639,27 +642,7 @@ fn main() -> ExitCode {
         _ => usage(),
     };
     if let Some(h) = &grid_handle {
-        if let Some(coord) = h.coordinator() {
-            let s = coord.stats();
-            ppa_obs::info!(
-                "grid",
-                "dispatched={} completed={} redispatched={} duplicates={} unit_errors={} workers_joined={} workers_lost={}",
-                s.dispatched, s.completed, s.redispatched, s.duplicates, s.unit_errors, s.workers_joined, s.workers_lost
-            );
-            coord.shutdown();
-        } else if let grid::GridHandle::Remote(client) = h {
-            // The daemon outlives us; just report what it did for us.
-            if let Ok(s) = client.stats() {
-                ppa_obs::info!(
-                    "grid",
-                    "daemon {}: cache hits={} misses={} entries={}",
-                    client.addr(),
-                    s.hits,
-                    s.misses,
-                    s.entries
-                );
-            }
-        }
+        h.finish();
     }
     if std::env::var("PPA_POOL_STATS").is_ok_and(|v| v != "0") {
         if let Some(stats) = ppa_pool::global_stats() {

@@ -67,6 +67,13 @@ echo "== PPA_JOBS=0 repro fig19 smoke (multi-core machine)"
 time PPA_JOBS=0 PPA_REPRO_LEN=1200 \
     cargo run -q -p ppa-bench --release --bin repro -- fig19 > /dev/null
 
+# The full reproduction at default length must match the captured run
+# in results/repro_all.txt byte for byte, so the file cannot go stale.
+echo "== repro all vs results/repro_all.txt"
+time PPA_JOBS=0 cargo run -q -p ppa-bench --release --bin repro -- all \
+    > /tmp/ppa_ci_repro_all.txt 2> /dev/null
+diff results/repro_all.txt /tmp/ppa_ci_repro_all.txt
+
 # Distributed smoke: the same experiments through a loopback grid must
 # be byte-identical to the local run above.
 echo "== repro loopback grid smoke (fig11 table4 ckpt, 2 workers)"
@@ -194,9 +201,19 @@ EOF
 
 # Exhaustive failure-point mode of the smp crash oracle: every cycle of
 # every shared workload is a failure point, with FSM-level mid-flush
-# tearing probes, plus the arbiter mutation self-tests.
+# tearing probes, plus the arbiter mutation self-tests. Both smp modes
+# must print the same bytes at any job count.
 echo "== ppa-verify smp --fail-points all (exhaustive failure points)"
-time cargo run -q -p ppa-verify --release -- smp --fail-points all > /dev/null 2> /dev/null
+time PPA_JOBS=1 cargo run -q -p ppa-verify --release -- smp --fail-points all \
+    > /tmp/ppa_ci_smp_all_j1.txt 2> /dev/null
+PPA_JOBS=8 cargo run -q -p ppa-verify --release -- smp --fail-points all \
+    > /tmp/ppa_ci_smp_all_j8.txt 2> /dev/null
+diff /tmp/ppa_ci_smp_all_j1.txt /tmp/ppa_ci_smp_all_j8.txt
+
+echo "== ppa-verify smp determinism (sampled failure points)"
+PPA_JOBS=1 cargo run -q -p ppa-verify --release -- smp > /tmp/ppa_ci_smp_j1.txt 2> /dev/null
+PPA_JOBS=8 cargo run -q -p ppa-verify --release -- smp > /tmp/ppa_ci_smp_j8.txt 2> /dev/null
+diff /tmp/ppa_ci_smp_j1.txt /tmp/ppa_ci_smp_j8.txt
 
 # The persistency-model conformance engine, pinned seed: a 256-test
 # litmus batch against the axiomatic model across exhaustive failure

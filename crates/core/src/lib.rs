@@ -14,8 +14,8 @@
 //! * **dynamic region formation** — a persist barrier injected whenever
 //!   renaming runs out of physical registers (§4.2), at synchronisation
 //!   primitives (§6), or when the CSQ fills;
-//! * **JIT checkpointing** ([`CheckpointController`], [`CheckpointImage`])
-//!   and the **recovery protocol** ([`replay_stores`], [`Core::recover`])
+//! * **JIT checkpointing** ([`CheckpointController`], [`CheckpointImage`],
+//!   and [`flush`], the one place a crash model tears a flush) and the **recovery protocol** ([`replay_stores`], [`Core::recover`])
 //!   of §4.5–4.6;
 //! * an **in-order variant** ([`InOrderCore`]) with a value-carrying CSQ,
 //!   as sketched in §6;
@@ -73,8 +73,8 @@ pub use events::{EventLog, PipelineEvent};
 pub use inorder::InOrderCore;
 pub use pipeline::Core;
 pub use ppa::{
-    deserialize_images, replay_stores, serialize_images, CheckpointController, CheckpointImage,
-    CkptState, Csq, CsqEntry, IndexWalker, MaskReg, RecoveryReport,
+    deserialize_images, flush, replay_stores, serialize_images, CheckpointController,
+    CheckpointImage, CkptState, Csq, CsqEntry, Flush, IndexWalker, MaskReg, RecoveryReport,
 };
 pub use prf::{PhysReg, Prf};
 pub use rename::RenameTable;

@@ -212,10 +212,11 @@ fn unpack_arch(w: u64) -> Option<ArchReg> {
         0 => RegClass::Int,
         _ => RegClass::Fp,
     };
-    if w >> 9 != 0 {
+    let index = (w & 0xff) as u8;
+    if w >> 9 != 0 || index as usize >= class.arch_count() {
         return None;
     }
-    Some(ArchReg::new(class, (w & 0xff) as u8))
+    Some(ArchReg::new(class, index))
 }
 
 /// Serializes a whole machine's per-core images into one contiguous word
@@ -239,8 +240,10 @@ pub fn deserialize_images(words: &[u64]) -> Option<Vec<CheckpointImage>> {
     if r.next()? != STREAM_MAGIC {
         return None;
     }
-    let n = r.next()? as usize;
-    let mut images = Vec::with_capacity(n);
+    // The core count is unvalidated until the images behind it parse, so
+    // it must not size an allocation.
+    let n = r.next()?;
+    let mut images = Vec::new();
     for _ in 0..n {
         let (img, used) = CheckpointImage::deserialize(&words[r.pos..])?;
         r.pos += used;
@@ -250,6 +253,63 @@ pub fn deserialize_images(words: &[u64]) -> Option<Vec<CheckpointImage>> {
         return None;
     }
     Some(images)
+}
+
+/// What one JIT-checkpoint flush through the controller FSM did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flush {
+    /// Controller cycles the whole flush took. An interruption does not
+    /// change it: the residual-energy window finishes the flush.
+    pub cycles: u64,
+    /// Words of the stream durable at the interruption (zero for an
+    /// uninterrupted flush).
+    pub torn_words: u64,
+    /// Whether the torn prefix failed to deserialize — a torn stream
+    /// accepted as complete would be a silent-corruption recovery.
+    /// Vacuously `true` for an uninterrupted flush.
+    pub torn_prefix_rejected: bool,
+}
+
+/// Flushes a serialized checkpoint `stream` (see [`serialize_images`])
+/// through a [`CheckpointController`]. With `interrupt = Some(n)` power
+/// is lost again `n` controller cycles into the flush: the words durable
+/// at that instant form a torn prefix, which must not deserialize, and
+/// the residual-energy window then finishes the flush.
+///
+/// # Examples
+///
+/// ```
+/// use ppa_core::{flush, serialize_images};
+///
+/// let stream = serialize_images(&[]);
+/// let whole = flush(&stream, None);
+/// let torn = flush(&stream, Some(3));
+/// assert_eq!(torn.cycles, whole.cycles);
+/// assert_eq!(torn.torn_words, 1);
+/// assert!(torn.torn_prefix_rejected);
+/// ```
+pub fn flush(stream: &[u64], interrupt: Option<u64>) -> Flush {
+    let mut fsm = CheckpointController::new();
+    fsm.power_fail(stream.len() as u64 * 8);
+    let Some(interrupt) = interrupt else {
+        return Flush {
+            cycles: fsm.run_to_completion(),
+            torn_words: 0,
+            torn_prefix_rejected: true,
+        };
+    };
+    let mut used = 0;
+    while used < interrupt && fsm.step() {
+        used += 1;
+    }
+    let torn_words = fsm.words_done();
+    let torn_prefix_rejected = torn_words >= stream.len() as u64
+        || deserialize_images(&stream[..torn_words as usize]).is_none();
+    Flush {
+        cycles: used + fsm.run_to_completion(),
+        torn_words,
+        torn_prefix_rejected,
+    }
 }
 
 /// The JIT-checkpointing controller's finite state machine (Figure 7).
@@ -587,6 +647,26 @@ mod tests {
         assert_eq!(deserialize_images(&words).expect("intact"), images);
         for cut in 0..words.len() {
             assert!(deserialize_images(&words[..cut]).is_none(), "torn at {cut}");
+        }
+    }
+
+    #[test]
+    fn flush_rejects_every_torn_prefix_and_keeps_its_cycle_count() {
+        let stream = serialize_images(&[image_with_state(), sample_image()]);
+        let words = stream.len() as u64;
+        let whole = flush(&stream, None);
+        assert_eq!(whole.cycles, words + 2);
+        assert_eq!(whole.torn_words, 0);
+        assert!(whole.torn_prefix_rejected);
+        for interrupt in 0..=words + 2 {
+            let f = flush(&stream, Some(interrupt));
+            assert!(f.torn_prefix_rejected, "interrupt {interrupt}");
+            assert_eq!(
+                f.torn_words,
+                interrupt.saturating_sub(2).min(words),
+                "interrupt {interrupt}"
+            );
+            assert_eq!(f.cycles, whole.cycles, "interrupt {interrupt}");
         }
     }
 

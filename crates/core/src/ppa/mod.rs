@@ -7,8 +7,8 @@ pub mod mask;
 pub mod recovery;
 
 pub use checkpoint::{
-    deserialize_images, serialize_images, CheckpointController, CheckpointImage, CkptState,
-    IndexWalker,
+    deserialize_images, flush, serialize_images, CheckpointController, CheckpointImage, CkptState,
+    Flush, IndexWalker,
 };
 pub use csq::{Csq, CsqEntry};
 pub use mask::MaskReg;

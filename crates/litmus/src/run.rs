@@ -1,13 +1,14 @@
 //! Conformance runner: every litmus test × every failure point, on the real
 //! machine.
 //!
-//! For each cycle of an [`SmpSystem`] run the runner takes the JIT
-//! checkpoint, round-trips it through the serialized word stream, replays
-//! the recovered CSQs into a clone of the live NVM image (power failure
-//! never touches NVM, so the clone *is* the post-crash image), and checks
-//! the resulting memory state against the axiomatic model. A strided subset
-//! of cells additionally tears the checkpoint flush mid-stream through the
-//! controller FSM and requires recovery to reject the torn prefix. After
+//! For each cycle of an [`SmpSystem`] run the runner takes a crash cell
+//! ([`SmpSystem::crash_cell`]): the JIT checkpoint, round-tripped through
+//! the serialized word stream, with the recovered CSQs replayed into a
+//! clone of the live NVM image (power failure never touches NVM, so the
+//! clone *is* the post-crash image). It checks the resulting memory state
+//! against the axiomatic model. A strided subset of cells additionally
+//! tears the checkpoint flush mid-stream and requires recovery to reject
+//! the torn prefix. After
 //! the run the whole-machine validators (`SmpSystem::validate`) get the
 //! final word — an arbiter that mis-orders grants is machine-unsound even
 //! if every reachable state happens to be model-allowed.
@@ -15,9 +16,8 @@
 use crate::generator::{word_addr, LitmusTest};
 use crate::model::allowed_states;
 use crate::{waivers, DivergenceKind, UnsoundClass};
-use ppa_core::{replay_stores, CheckpointController};
 use ppa_sim::SystemConfig;
-use ppa_smp::{ArbiterFault, MachineCheckpoint, SmpSystem};
+use ppa_smp::{ArbiterFault, SmpSystem};
 use std::collections::BTreeSet;
 
 /// Runner-side fault injections for the mutation self-tests.
@@ -127,53 +127,38 @@ pub fn run_test(test: &LitmusTest, cfg: &RunConfig) -> TestRow {
     loop {
         let cycle = sys.now();
         cells += 1;
-        let ckpt = sys.jit_checkpoint();
-        let stream = ckpt.serialize();
-
         // Mid-flush tearing probe on a strided subset of cells: interrupt
         // the controller FSM at a cell-dependent word count and require the
         // torn prefix to be rejected (the completion marker lands last).
-        if cycle.is_multiple_of(cfg.tear_stride) && !stream.is_empty() {
+        let tear = cycle.is_multiple_of(cfg.tear_stride);
+        let cell = sys.crash_cell(tear.then_some(cycle / cfg.tear_stride));
+        if let Some(f) = cell.torn {
             torn += 1;
-            let mut fsm = CheckpointController::new();
-            fsm.power_fail(stream.len() as u64 * 8);
-            let interrupt = (cycle / cfg.tear_stride) % stream.len() as u64;
-            for _ in 0..interrupt {
-                if !fsm.step() {
-                    break;
-                }
-            }
-            let words = fsm.words_done().min(stream.len() as u64 - 1);
-            if MachineCheckpoint::deserialize(&stream[..words as usize]).is_some() {
+            if !f.torn_prefix_rejected {
                 record(
                     &mut raw_unsound,
                     &mut class_counts,
                     UnsoundClass::TornPrefix,
                     format!(
-                        "cycle {cycle}: torn checkpoint prefix ({words}/{} words) accepted",
-                        stream.len()
+                        "cycle {cycle}: torn checkpoint prefix ({}/{} words) accepted",
+                        f.torn_words, cell.words
                     ),
                 );
             }
         }
 
         // Full round-trip recovery into a clone of the live NVM image.
-        match MachineCheckpoint::deserialize(&stream) {
+        match cell.recovered {
             None => record(
                 &mut raw_unsound,
                 &mut class_counts,
                 UnsoundClass::Recovery,
                 format!("cycle {cycle}: intact checkpoint stream failed to deserialize"),
             ),
-            Some(mut recovered) => {
-                if cfg.fault == Some(RunnerFault::DropReplayEntry)
-                    && !recovered.images[0].csq.is_empty()
-                {
-                    recovered.images[0].csq.remove(0);
-                }
-                let mut nvm = sys.mem().nvm_image().clone();
-                for image in &recovered.images {
-                    replay_stores(image, &mut nvm);
+            Some((mut images, mut nvm)) => {
+                if cfg.fault == Some(RunnerFault::DropReplayEntry) && !images[0].csq.is_empty() {
+                    images[0].csq.remove(0);
+                    nvm = sys.replayed_nvm(&images);
                 }
                 let state: Vec<u64> = (0..model.words)
                     .map(|w| nvm.read(word_addr(w)).unwrap_or(0))

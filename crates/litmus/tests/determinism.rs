@@ -51,9 +51,15 @@ fn transported_tests_match_local_execution_despite_worker_death() {
         })
         .collect();
 
+    // The first worker dies on its first lease. With one job per worker,
+    // the first dispatch leases a unit to each of the three, so the death
+    // and the re-dispatch happen whatever the units' run times and however
+    // the threads are scheduled. (Dying after two units raced: litmus
+    // units run 10–50 ms, and the other test in this binary loads every
+    // core, so the other workers could drain the batch first.)
     let opts = vec![
         WorkerOptions {
-            die_after: Some(2),
+            die_after: Some(0),
             ..WorkerOptions::default()
         },
         WorkerOptions::default(),

@@ -1,28 +1,7 @@
 use crate::presets::SystemConfig;
-use ppa_core::{
-    deserialize_images, replay_stores, serialize_images, CheckpointController, Core,
-    PersistenceMode,
-};
+use ppa_core::{deserialize_images, flush, replay_stores, serialize_images, Core, PersistenceMode};
 use ppa_isa::Trace;
 use ppa_mem::MemorySystem;
-
-/// How the injected failure interacts with the JIT-checkpoint flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushMode {
-    /// The flush completes within the residual-energy window, as §4.5
-    /// guarantees by construction (the pre-existing model).
-    Complete,
-    /// Power is lost again `interrupt_cycles` into the checkpoint
-    /// controller's FSM. The words durable at that instant form a torn
-    /// stream which recovery must detect and reject; the residual-energy
-    /// window then finishes the flush, and recovery proceeds from the
-    /// *deserialized* full stream — exercising the detection path, not
-    /// just the happy path.
-    InterruptedAt {
-        /// Controller cycles before the interruption.
-        interrupt_cycles: u64,
-    },
-}
 
 /// Outcome of one injected power failure plus recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +21,7 @@ pub struct FailureOutcome {
     /// mid-flush interruption, if any).
     pub flush_cycles: u64,
     /// Words of the serialized stream durable at the mid-flush
-    /// interruption (zero for [`FlushMode::Complete`]).
+    /// interruption (zero for an uninterrupted flush).
     pub torn_words: u64,
     /// Whether the torn prefix was rejected by deserialization — a torn
     /// image accepted as complete would be a silent-corruption recovery.
@@ -90,34 +69,21 @@ pub fn inject_failure_multicore(
     traces: &[Trace],
     fail_cycle: u64,
 ) -> FailureOutcome {
-    inject_failure_with_flush(cfg, traces, fail_cycle, FlushMode::Complete)
+    inject_failure_with_flush(cfg, traces, fail_cycle, None)
 }
 
-/// Like [`inject_failure_multicore`], but the failure point sits *inside*
-/// the JIT-checkpoint FSM: the flush is interrupted `interrupt_cycles`
-/// in, the torn word stream is shown to be rejected, and recovery runs
-/// from the deserialized full stream (see [`FlushMode::InterruptedAt`]).
-pub fn inject_failure_mid_flush(
-    cfg: &SystemConfig,
-    traces: &[Trace],
-    fail_cycle: u64,
-    interrupt_cycles: u64,
-) -> FailureOutcome {
-    inject_failure_with_flush(
-        cfg,
-        traces,
-        fail_cycle,
-        FlushMode::InterruptedAt { interrupt_cycles },
-    )
-}
-
-/// The full failure model: run, checkpoint (optionally tearing the flush),
-/// recover, resume.
+/// The full failure model: run, checkpoint, recover, resume. With
+/// `mid_flush = Some(n)` the failure point sits *inside* the
+/// JIT-checkpoint FSM: power is lost again `n` controller cycles into the
+/// flush, the torn word stream is shown to be rejected, the
+/// residual-energy window finishes the flush, and recovery runs from the
+/// deserialized full stream — exercising the detection path, not just the
+/// happy path (see [`ppa_core::flush`]).
 pub fn inject_failure_with_flush(
     cfg: &SystemConfig,
     traces: &[Trace],
     fail_cycle: u64,
-    flush: FlushMode,
+    mid_flush: Option<u64>,
 ) -> FailureOutcome {
     assert_eq!(
         cfg.core.mode,
@@ -149,27 +115,7 @@ pub fn inject_failure_with_flush(
         .map(|i| i.checkpoint_bytes(cfg.core.total_prf()))
         .sum();
     let stream = serialize_images(&images);
-    let mut fsm = CheckpointController::new();
-    fsm.power_fail(stream.len() as u64 * 8);
-    let (flush_cycles, torn_words, torn_prefix_rejected) = match flush {
-        FlushMode::Complete => (fsm.run_to_completion(), 0, true),
-        FlushMode::InterruptedAt { interrupt_cycles } => {
-            let mut used = 0;
-            for _ in 0..interrupt_cycles {
-                if !fsm.step() {
-                    break;
-                }
-                used += 1;
-            }
-            let torn = fsm.words_done();
-            // A torn stream must never deserialize to anything; only a
-            // fully flushed stream may.
-            let rejected = torn >= stream.len() as u64
-                || deserialize_images(&stream[..torn as usize]).is_none();
-            // The residual-energy window finishes the flush.
-            (used + fsm.run_to_completion(), torn, rejected)
-        }
-    };
+    let flushed = flush(&stream, mid_flush);
     mem.power_failure();
 
     // Phase 3: recovery — deserialize the durable stream (recovery must
@@ -217,9 +163,9 @@ pub fn inject_failure_with_flush(
         consistent_before_recovery,
         replayed_stores,
         checkpoint_bytes,
-        flush_cycles,
-        torn_words,
-        torn_prefix_rejected,
+        flush_cycles: flushed.cycles,
+        torn_words: flushed.torn_words,
+        torn_prefix_rejected: flushed.torn_prefix_rejected,
         stream_recovered,
         consistent_after_recovery,
         completed_after_resume: completed,
@@ -304,11 +250,11 @@ mod tests {
         let app = registry::by_name("tpcc").unwrap();
         let trace = app.generate(2_000, 11);
         for interrupt in [0, 1, 2, 3, 10, 40, 100, 1_000_000] {
-            let out = inject_failure_mid_flush(
+            let out = inject_failure_with_flush(
                 &SystemConfig::ppa(),
                 std::slice::from_ref(&trace),
                 1_000,
-                interrupt,
+                Some(interrupt),
             );
             assert!(
                 out.torn_prefix_rejected,

@@ -29,8 +29,7 @@ mod report;
 
 pub use consistency::{check_consistency, BadWord, ConsistencyReport};
 pub use failure::{
-    inject_failure, inject_failure_mid_flush, inject_failure_multicore, inject_failure_with_flush,
-    FailureOutcome, FlushMode,
+    inject_failure, inject_failure_multicore, inject_failure_with_flush, FailureOutcome,
 };
 pub use machine::Machine;
 pub use presets::SystemConfig;

@@ -15,7 +15,9 @@
 //!   at one until its drain certificate issues;
 //! * whole-machine **JIT checkpoint and recovery** —
 //!   [`SmpSystem::jit_checkpoint`] images every core atomically;
-//!   [`SmpSystem::recover`] replays all cores' committed stores (any
+//!   [`SmpSystem::crash_cell`] is the per-cycle crash cell (checkpoint,
+//!   serialize, optional torn flush, deserialize, replay into a clone of
+//!   NVM) both per-cycle sweeps run; [`SmpSystem::recover`] replays all cores' committed stores (any
 //!   replay order is correct under data-race-freedom) and restarts every
 //!   core after its LCPC;
 //! * **cross-core validators** — [`check_drain_log`] (drain-order and
@@ -35,4 +37,4 @@ mod system;
 pub use arbiter::{
     check_arbiter_fairness, check_drain_log, ArbiterFault, DrainGrant, PersistArbiter,
 };
-pub use system::{check_images, MachineCheckpoint, SmpReport, SmpSystem};
+pub use system::{check_images, CrashCell, SmpReport, SmpSystem};

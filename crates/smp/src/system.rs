@@ -6,42 +6,24 @@ use crate::arbiter::{
 };
 use ppa_core::verify::{InvariantKind, Violation};
 use ppa_core::{
-    deserialize_images, replay_stores, serialize_images, CheckpointImage, Core, CoreStats,
+    deserialize_images, flush, replay_stores, serialize_images, CheckpointImage, Core, CoreStats,
+    Flush,
 };
 use ppa_isa::Trace;
-use ppa_mem::{MemStats, MemorySystem};
+use ppa_mem::{MemStats, MemorySystem, NvmImage};
 use ppa_sim::SystemConfig;
 
-/// The whole machine's JIT checkpoint: one [`CheckpointImage`] per core,
-/// taken atomically at the failure cycle (the paper's residual-energy
-/// window covers all cores — each flushes its own 1838-byte worst case in
-/// parallel).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MachineCheckpoint {
-    /// Per-core images, indexed by core id.
-    pub images: Vec<CheckpointImage>,
-}
-
-impl MachineCheckpoint {
-    /// Serializes all images into the single word stream the checkpoint
-    /// controllers write to NVM.
-    pub fn serialize(&self) -> Vec<u64> {
-        serialize_images(&self.images)
-    }
-
-    /// Rebuilds a machine checkpoint from a word stream; `None` if the
-    /// stream is torn or corrupted.
-    pub fn deserialize(words: &[u64]) -> Option<Self> {
-        deserialize_images(words).map(|images| MachineCheckpoint { images })
-    }
-
-    /// Total bytes the machine's checkpoint controllers move to NVM.
-    pub fn checkpoint_bytes(&self, total_prf: usize) -> u64 {
-        self.images
-            .iter()
-            .map(|i| i.checkpoint_bytes(total_prf))
-            .sum()
-    }
+/// One crash cell: what [`SmpSystem::crash_cell`] found when power failed
+/// at the machine's current cycle.
+#[derive(Debug, Clone)]
+pub struct CrashCell {
+    /// Words in the serialized machine checkpoint.
+    pub words: u64,
+    /// The tearing probe's flush, when one ran.
+    pub torn: Option<Flush>,
+    /// The images deserialized from the intact stream and the NVM image
+    /// after replaying them; `None` if the stream failed to deserialize.
+    pub recovered: Option<(Vec<CheckpointImage>, NvmImage)>,
 }
 
 /// Validates that the per-core recovery images are coherent: under DRF
@@ -337,8 +319,10 @@ impl SmpSystem {
         self.mem.nvm_image().diff(self.mem.arch_mem()).is_empty()
     }
 
-    /// Takes the whole machine's JIT checkpoint (every core, atomically).
-    pub fn jit_checkpoint(&self) -> MachineCheckpoint {
+    /// Takes the whole machine's JIT checkpoint: one image per core, taken
+    /// atomically (the paper's residual-energy window covers all cores —
+    /// each flushes its own 1838-byte worst case in parallel).
+    pub fn jit_checkpoint(&self) -> Vec<CheckpointImage> {
         let mut images: Vec<CheckpointImage> =
             self.cores.iter().map(Core::jit_checkpoint).collect();
         if self.duplicate_image_fault && images.len() >= 2 {
@@ -350,7 +334,36 @@ impl SmpSystem {
                 }
             }
         }
-        MachineCheckpoint { images }
+        images
+    }
+
+    /// The crash cell every per-cycle sweep runs: JIT-checkpoint the
+    /// machine, serialize the images, optionally tear the flush at
+    /// interrupt `tear % words` ([`ppa_core::flush`]), deserialize the
+    /// intact stream and replay it into a clone of the live NVM image.
+    /// Power failure never touches NVM, so the clone *is* the post-crash
+    /// image; the machine itself is left untouched.
+    pub fn crash_cell(&self, tear: Option<u64>) -> CrashCell {
+        let stream = serialize_images(&self.jit_checkpoint());
+        let words = stream.len() as u64;
+        CrashCell {
+            words,
+            torn: tear.map(|t| flush(&stream, Some(t % words))),
+            recovered: deserialize_images(&stream).map(|images| {
+                let nvm = self.replayed_nvm(&images);
+                (images, nvm)
+            }),
+        }
+    }
+
+    /// A clone of the live NVM image with every image's CSQ replayed into
+    /// it, in core order.
+    pub fn replayed_nvm(&self, images: &[CheckpointImage]) -> NvmImage {
+        let mut nvm = self.mem.nvm_image().clone();
+        for image in images {
+            replay_stores(image, &mut nvm);
+        }
+        nvm
     }
 
     /// Cuts power: all volatile state (caches, DRAM, write buffers) dies.
@@ -367,18 +380,17 @@ impl SmpSystem {
     /// # Panics
     ///
     /// Panics if the checkpoint's core count differs from the machine's.
-    pub fn recover(&mut self, ckpt: &MachineCheckpoint) -> usize {
+    pub fn recover(&mut self, images: &[CheckpointImage]) -> usize {
         assert_eq!(
-            ckpt.images.len(),
+            images.len(),
             self.cores.len(),
             "checkpoint core count must match the machine"
         );
         let mut replayed = 0;
-        for image in &ckpt.images {
+        for image in images {
             replayed += replay_stores(image, self.mem.nvm_image_mut()).replayed_stores;
         }
-        self.cores = ckpt
-            .images
+        self.cores = images
             .iter()
             .enumerate()
             .map(|(i, image)| Core::recover(self.cfg.core, i, image))
@@ -408,7 +420,7 @@ impl SmpSystem {
             self.arbiter.grants_per_cycle(),
         );
         v.extend(check_arbiter_fairness(self.arbiter.log(), self.cores.len()));
-        v.extend(check_images(&self.jit_checkpoint().images));
+        v.extend(check_images(&self.jit_checkpoint()));
         v
     }
 }

@@ -3,8 +3,9 @@
 //! recovery, and the mutation self-tests of the machine-level validators.
 
 use ppa_core::verify::InvariantKind;
+use ppa_core::{deserialize_images, serialize_images};
 use ppa_sim::SystemConfig;
-use ppa_smp::{ArbiterFault, MachineCheckpoint, SmpSystem};
+use ppa_smp::{ArbiterFault, SmpSystem};
 use ppa_workloads::shared;
 
 fn machine(app: &str, threads: usize, len: usize, cfg: SystemConfig) -> SmpSystem {
@@ -105,15 +106,43 @@ fn machine_checkpoint_survives_serialization_but_not_tearing() {
     let mut sys = machine("barrier", 2, 1_000, SystemConfig::ppa());
     sys.run_to(1_500);
     let ckpt = sys.jit_checkpoint();
-    let words = ckpt.serialize();
-    assert_eq!(MachineCheckpoint::deserialize(&words), Some(ckpt));
+    let words = serialize_images(&ckpt);
+    assert_eq!(deserialize_images(&words), Some(ckpt));
     for cut in 0..words.len() {
         assert_eq!(
-            MachineCheckpoint::deserialize(&words[..cut]),
+            deserialize_images(&words[..cut]),
             None,
             "torn prefix of {cut} words must be rejected"
         );
     }
+}
+
+#[test]
+fn crash_cells_at_every_cycle_leave_the_run_unchanged() {
+    let summary = |sys: SmpSystem| {
+        let r = sys.run();
+        (r.cycles, r.committed, r.drain_grants, r.consistent)
+    };
+    let plain = summary(machine("prodcons", 2, 800, SystemConfig::ppa()));
+    let mut sys = machine("prodcons", 2, 800, SystemConfig::ppa());
+    let mut cells = 0u64;
+    let mut torn = 0u64;
+    while !sys.is_finished() {
+        cells += 1;
+        let cell = sys.crash_cell(cells.is_multiple_of(3).then_some(cells * 13));
+        if let Some(f) = cell.torn {
+            torn += 1;
+            assert!(f.torn_prefix_rejected, "cycle {}", sys.now());
+            assert!(f.torn_words < cell.words, "cycle {}", sys.now());
+        }
+        let (images, nvm) = cell.recovered.expect("intact stream deserializes");
+        assert_eq!(images, sys.jit_checkpoint());
+        assert_eq!(nvm, sys.replayed_nvm(&images));
+        sys.step();
+    }
+    assert!(torn > 0);
+    assert_eq!(torn, cells / 3);
+    assert_eq!(summary(sys), plain);
 }
 
 #[test]
@@ -157,7 +186,7 @@ fn duplicated_image_entries_are_caught() {
     let mut at = None;
     for cycle in (200..4_000).step_by(100) {
         sys.run_to(cycle);
-        if !sys.jit_checkpoint().images[0].csq.is_empty() {
+        if !sys.jit_checkpoint()[0].csq.is_empty() {
             at = Some(cycle);
             break;
         }

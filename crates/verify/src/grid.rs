@@ -8,7 +8,7 @@
 //!    the uninterrupted execution's cycle count.
 //! 2. **Cell** (`oracle.cell:{app}#{i}`): one unit per injection point,
 //!    carrying the exact `fail_cycle`/`mid_flush` the coordinator drew
-//!    with [`oracle::run_app`]'s RNG stream.
+//!    with [`oracle::fail_points`], the plan [`oracle::run_app`] runs.
 //!
 //! Each cell returns `(passed, exercised, rendered failure block)`, so
 //! assembling rows in (registry, point) order reproduces the local
@@ -19,7 +19,6 @@ use crate::oracle::{self, OracleOutcome};
 use ppa_grid::coord::{UnitRunner, UnitSpec};
 use ppa_grid::proto::{ByteReader, ByteWriter};
 use ppa_grid::Executor;
-use ppa_prng::Prng;
 use ppa_workloads::registry;
 
 /// One row of `ppa-verify oracle` output, whether computed locally or
@@ -100,14 +99,13 @@ pub fn oracle_rows(
     }
 
     // Wave 2: the coordinator draws every failure point with run_app's
-    // RNG stream, then fans the (app x point) grid out as cells.
+    // plan, then fans the (app x point) grid out as cells.
     let mut cells = Vec::with_capacity(apps.len() * points);
-    for (app, &total_cycles) in apps.iter().zip(&totals) {
-        let mut rng = Prng::seed_from_u64(seed ^ 0x07ac1e ^ app.name.len() as u64);
-        for i in 0..points {
-            let fail_cycle = rng.random_range(10..total_cycles.saturating_mul(4) / 5);
-            let interrupt = rng.random_range(0..240);
-            let mid_flush = (i % 3 == 2).then_some(interrupt);
+    for (app, &total) in apps.iter().zip(&totals) {
+        for (i, (fail_cycle, mid_flush)) in oracle::fail_points(app.name, total, seed, points)
+            .into_iter()
+            .enumerate()
+        {
             cells.push(cell_unit(app.name, i, len, seed, fail_cycle, mid_flush));
         }
     }
@@ -141,7 +139,7 @@ impl Executor for OracleKind {
             r.finish().map_err(|e| e.to_string())?;
             let app = registry::by_name(&app_name)
                 .ok_or_else(|| format!("unknown application '{app_name}'"))?;
-            let total = oracle_total_cycles(&app, len, seed);
+            let total = oracle::total_cycles(&app.generate(len, seed));
             let mut w = ByteWriter::new();
             w.put_u64(total);
             Ok(w.into_bytes())
@@ -200,17 +198,6 @@ impl Executor for OracleKind {
     }
 }
 
-/// The uninterrupted cycle count [`oracle::run_app`] plans around.
-fn oracle_total_cycles(app: &ppa_workloads::AppDescriptor, len: usize, seed: u64) -> u64 {
-    use ppa_core::{Core, CoreConfig, PersistenceMode};
-    use ppa_mem::{MemConfig, MemorySystem};
-    let trace = app.generate(len, seed);
-    let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
-    let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-    let mut core = Core::new(cfg, 0);
-    core.run(&trace, &mut mem)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,15 +206,21 @@ mod tests {
     fn cell_unit_reproduces_local_outcome() {
         let app = registry::by_name("mcf").expect("mcf is registered");
         let outcomes = oracle::run_app(&app, 800, 7, 3);
-        let total = oracle_total_cycles(&app, 800, 7);
-        // Re-draw the same points the planner would and check cell
-        // execution returns the same row the local path renders.
-        let mut rng = Prng::seed_from_u64(7 ^ 0x07ac1e ^ app.name.len() as u64);
-        for (i, o) in outcomes.iter().enumerate() {
-            let fail_cycle = rng.random_range(10..total.saturating_mul(4) / 5);
-            let interrupt = rng.random_range(0..240);
-            let mid_flush = (i % 3 == 2).then_some(interrupt);
+        // Run the plan unit, re-draw the points the coordinator would, and
+        // check cell execution returns the same row the local path renders.
+        let plan = plan_unit(app.name, 800, 7);
+        let bytes = OracleKind
+            .execute(&plan.tag, &plan.payload)
+            .expect("plan executes");
+        let total = ByteReader::new(&bytes).u64().expect("plan returns a total");
+        let points = oracle::fail_points(app.name, total, 7, 3);
+        assert_eq!(points.len(), outcomes.len());
+        for (i, (o, &(fail_cycle, mid_flush))) in outcomes.iter().zip(&points).enumerate() {
             assert_eq!(fail_cycle, o.fail_cycle, "planner diverged from run_app");
+            assert_eq!(
+                mid_flush, o.mid_flush_interrupt,
+                "planner diverged from run_app"
+            );
             let unit = cell_unit(app.name, i, 800, 7, fail_cycle, mid_flush);
             let bytes = OracleKind
                 .execute(&unit.tag, &unit.payload)

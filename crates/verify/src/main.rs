@@ -494,24 +494,7 @@ fn cmd_smp(opts: &Options) -> bool {
         outcomes.len(),
         mid_flush
     );
-    for report in smp_oracle::run_arbiter_mutations(opts.len.min(1_500), opts.seed) {
-        if report.detected() {
-            println!(
-                "  ok   arbiter {:?} detected ({} violations): {:?}",
-                report.fault,
-                report.violations.len(),
-                report.fired_kinds()
-            );
-        } else {
-            ok = false;
-            println!(
-                "  FAIL arbiter {:?} NOT detected; kinds that fired: {:?}",
-                report.fault,
-                report.fired_kinds()
-            );
-        }
-    }
-    ok
+    print_arbiter_mutations(opts) && ok
 }
 
 /// `ppa-verify smp --fail-points all`: the exhaustive sweep — every cycle
@@ -561,20 +544,28 @@ fn cmd_smp_exhaustive(opts: &Options) -> bool {
         sweeps.iter().map(|s| s.cells).sum::<u64>(),
         sweeps.iter().map(|s| s.torn_cells).sum::<u64>()
     );
+    print_arbiter_mutations(opts) && ok
+}
+
+/// The persist-arbiter mutation self-tests both `smp` modes end with:
+/// every [`ppa_smp::ArbiterFault`] must be caught. Returns whether all
+/// were.
+fn print_arbiter_mutations(opts: &Options) -> bool {
+    let mut ok = true;
     for report in smp_oracle::run_arbiter_mutations(opts.len.min(1_500), opts.seed) {
+        let fired = report.fired_kinds();
         if report.detected() {
             println!(
                 "  ok   arbiter {:?} detected ({} violations): {:?}",
                 report.fault,
                 report.violations.len(),
-                report.fired_kinds()
+                fired
             );
         } else {
             ok = false;
             println!(
                 "  FAIL arbiter {:?} NOT detected; kinds that fired: {:?}",
-                report.fault,
-                report.fired_kinds()
+                report.fault, fired
             );
         }
     }

@@ -72,6 +72,15 @@ fn mutation_trace() -> Trace {
     b.build()
 }
 
+/// The distinct kinds among `violations`, each named once, sorted by
+/// name.
+pub fn distinct_kinds(violations: &[Violation]) -> Vec<InvariantKind> {
+    let mut kinds: Vec<InvariantKind> = violations.iter().map(|v| v.kind).collect();
+    kinds.sort_by_key(|k| k.name());
+    kinds.dedup();
+    kinds
+}
+
 /// Result of running one mutation case.
 #[derive(Debug)]
 pub struct MutationReport {
@@ -84,10 +93,7 @@ pub struct MutationReport {
 impl MutationReport {
     /// The distinct violation kinds that fired.
     pub fn fired_kinds(&self) -> Vec<InvariantKind> {
-        let mut kinds: Vec<InvariantKind> = self.violations.iter().map(|v| v.kind).collect();
-        kinds.sort_by_key(|k| k.name());
-        kinds.dedup();
-        kinds
+        distinct_kinds(&self.violations)
     }
 
     /// Whether the fault was detected via one of its expected kinds.

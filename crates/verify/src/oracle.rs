@@ -19,8 +19,7 @@
 
 use crate::golden::{GoldenMemory, GoldenMismatch};
 use ppa_core::{
-    deserialize_images, replay_stores, serialize_images, CheckpointController, Core, CoreConfig,
-    PersistenceMode,
+    deserialize_images, flush, replay_stores, serialize_images, Core, CoreConfig, PersistenceMode,
 };
 use ppa_isa::Trace;
 use ppa_mem::{MemConfig, MemorySystem};
@@ -113,18 +112,14 @@ pub fn exercised_recovery(o: &OracleOutcome) -> bool {
 }
 
 /// Runs one failure injection at `fail_cycle` on a single-core PPA
-/// machine executing `trace`. The checkpoint flush completes within the
-/// residual-energy window (the §4.5 guarantee).
-pub fn run_point(app: &'static str, trace: &Trace, seed: u64, fail_cycle: u64) -> OracleOutcome {
-    run_point_with_flush(app, trace, seed, fail_cycle, None)
-}
-
-/// Like [`run_point`], but when `mid_flush` is `Some(n)` the failure point
-/// sits *inside* the JIT-checkpoint FSM: power is lost again `n`
-/// controller cycles into the flush. The oracle then demands that the
-/// torn word stream is rejected by deserialization and that recovery runs
-/// from the re-deserialized full stream — exercising the tear-detection
-/// path, not just the happy path.
+/// machine executing `trace`. With `mid_flush = None` the checkpoint
+/// flush completes within the residual-energy window (the §4.5
+/// guarantee). With `Some(n)` the failure point sits *inside* the
+/// JIT-checkpoint FSM: power is lost again `n` controller cycles into the
+/// flush ([`ppa_core::flush`]). The oracle then demands that the torn
+/// word stream is rejected by deserialization and that recovery runs from
+/// the re-deserialized full stream — exercising the tear-detection path,
+/// not just the happy path.
 pub fn run_point_with_flush(
     app: &'static str,
     trace: &Trace,
@@ -152,27 +147,7 @@ pub fn run_point_with_flush(
     let committed = core.committed();
     let checkpoint_bytes = image.checkpoint_bytes(cfg.total_prf()) as usize;
     let stream = serialize_images(std::slice::from_ref(&image));
-    let mut fsm = CheckpointController::new();
-    fsm.power_fail(stream.len() as u64 * 8);
-    let (torn_words, torn_prefix_rejected) = match mid_flush {
-        None => {
-            fsm.run_to_completion();
-            (0, true)
-        }
-        Some(interrupt) => {
-            for _ in 0..interrupt {
-                if !fsm.step() {
-                    break;
-                }
-            }
-            let torn = fsm.words_done();
-            let rejected = torn >= stream.len() as u64
-                || deserialize_images(&stream[..torn as usize]).is_none();
-            // The residual-energy window finishes the flush.
-            fsm.run_to_completion();
-            (torn, rejected)
-        }
-    };
+    let flushed = flush(&stream, mid_flush);
     mem.power_failure();
 
     // Phase 3: recovery — deserialize the durable stream (recovery must
@@ -209,8 +184,8 @@ pub fn run_point_with_flush(
         replayed: report.replayed_stores as u64,
         checkpoint_bytes,
         mid_flush_interrupt: mid_flush,
-        torn_words,
-        torn_prefix_rejected,
+        torn_words: flushed.torn_words,
+        torn_prefix_rejected: flushed.torn_prefix_rejected,
         stream_recovered,
         consistent_before_replay,
         recovery_mismatches,
@@ -219,33 +194,40 @@ pub fn run_point_with_flush(
     }
 }
 
-/// Runs `points` randomized injection points for one workload. Failure
-/// cycles are drawn uniformly from the first ~80% of the uninterrupted
-/// execution so the checkpoint lands mid-flight. Every third point also
-/// interrupts the checkpoint flush itself partway through, exercising the
-/// torn-stream detection of §4.5's completion marker.
-pub fn run_app(app: &AppDescriptor, len: usize, seed: u64, points: usize) -> Vec<OracleOutcome> {
-    let trace = app.generate(len, seed);
-    // Baseline run to learn the workload's natural cycle count.
+/// Cycles the uninterrupted single-core PPA run of `trace` takes — the
+/// span [`fail_points`] places failure points in.
+pub fn total_cycles(trace: &Trace) -> u64 {
     let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-    let mut core = Core::new(cfg, 0);
-    let total_cycles = core.run(&trace, &mut mem);
+    Core::new(cfg, 0).run(trace, &mut mem)
+}
 
-    // Draw every failure cycle (and flush-interruption offset) up front so
-    // the RNG stream is identical at any job count, then fan the
-    // (app x failure-point) grid out across the pool.
-    let mut rng = Prng::seed_from_u64(seed ^ 0x07ac1e ^ app.name.len() as u64);
-    let fail_points: Vec<(u64, Option<u64>)> = (0..points)
+/// Plans `points` failure points for workload `app` whose uninterrupted
+/// run takes `total` cycles, as `(fail_cycle, mid_flush)` pairs. Failure
+/// cycles are drawn uniformly from the first ~80% of the run so the
+/// checkpoint lands mid-flight. Every third point also interrupts the
+/// checkpoint flush itself partway through, exercising the torn-stream
+/// detection of §4.5's completion marker. A pure function of its
+/// arguments, so a local run and a grid coordinator draw the same plan.
+pub fn fail_points(app: &str, total: u64, seed: u64, points: usize) -> Vec<(u64, Option<u64>)> {
+    let mut rng = Prng::seed_from_u64(seed ^ 0x07ac1e ^ app.len() as u64);
+    (0..points)
         .map(|i| {
-            let fail_cycle = rng.random_range(10..total_cycles.saturating_mul(4) / 5);
+            let fail_cycle = rng.random_range(10..total.saturating_mul(4) / 5);
             let interrupt = rng.random_range(0..240);
             (fail_cycle, (i % 3 == 2).then_some(interrupt))
         })
-        .collect();
+        .collect()
+}
+
+/// Runs the [`fail_points`] plan for one workload, fanning the points out
+/// across the pool.
+pub fn run_app(app: &AppDescriptor, len: usize, seed: u64, points: usize) -> Vec<OracleOutcome> {
+    let trace = app.generate(len, seed);
+    let plan = fail_points(app.name, total_cycles(&trace), seed, points);
     let name = app.name;
     let trace = &trace;
-    ppa_pool::par_map_ordered(fail_points, move |(fail_cycle, mid_flush)| {
+    ppa_pool::par_map_ordered(plan, move |(fail_cycle, mid_flush)| {
         run_point_with_flush(name, trace, seed, fail_cycle, mid_flush)
     })
 }

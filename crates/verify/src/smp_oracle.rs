@@ -18,10 +18,10 @@
 
 use crate::golden::{GoldenMemory, GoldenMismatch};
 use ppa_core::verify::{InvariantKind, Violation};
-use ppa_core::CheckpointController;
+use ppa_core::{deserialize_images, flush, serialize_images};
 use ppa_prng::Prng;
 use ppa_sim::SystemConfig;
-use ppa_smp::{ArbiterFault, MachineCheckpoint, SmpSystem};
+use ppa_smp::{ArbiterFault, SmpSystem};
 use ppa_workloads::shared::{self, SharedApp};
 
 /// Outcome of one randomized whole-machine power-failure injection.
@@ -103,36 +103,16 @@ pub fn run_smp_point(
     // All cores flush in parallel inside the residual-energy window; the
     // serialized stream's completion marker lands last, so a torn prefix
     // is always detectable.
-    let ckpt = sys.jit_checkpoint();
-    let stream = ckpt.serialize();
-    let mut fsm = CheckpointController::new();
-    fsm.power_fail(stream.len() as u64 * 8);
-    let (torn_words, torn_prefix_rejected) = match mid_flush {
-        None => {
-            fsm.run_to_completion();
-            (0, true)
-        }
-        Some(interrupt) => {
-            for _ in 0..interrupt {
-                if !fsm.step() {
-                    break;
-                }
-            }
-            let torn = fsm.words_done();
-            let rejected = torn >= stream.len() as u64
-                || MachineCheckpoint::deserialize(&stream[..torn as usize]).is_none();
-            fsm.run_to_completion();
-            (torn, rejected)
-        }
-    };
+    let images = sys.jit_checkpoint();
+    let stream = serialize_images(&images);
+    let flushed = flush(&stream, mid_flush);
     sys.power_failure();
 
     // Phase 3: recovery from the deserialized stream, diffed against the
     // union of every thread's golden prefix execution.
-    let recovered =
-        MachineCheckpoint::deserialize(&stream).expect("a completed flush must deserialize");
-    let stream_recovered = recovered == ckpt;
-    let committed_per_core: Vec<u64> = recovered.images.iter().map(|i| i.committed).collect();
+    let recovered = deserialize_images(&stream).expect("a completed flush must deserialize");
+    let stream_recovered = recovered == images;
+    let committed_per_core: Vec<u64> = recovered.iter().map(|i| i.committed).collect();
     let committed = committed_per_core.iter().sum();
     let golden_prefix = GoldenMemory::from_thread_prefixes(&traces, &committed_per_core)
         .expect("shared workloads are single-writer per word");
@@ -157,8 +137,8 @@ pub fn run_smp_point(
         replayed,
         drain_grants,
         mid_flush_interrupt: mid_flush,
-        torn_words,
-        torn_prefix_rejected,
+        torn_words: flushed.torn_words,
+        torn_prefix_rejected: flushed.torn_prefix_rejected,
         stream_recovered,
         validator_violations,
         recovery_mismatches,
@@ -218,12 +198,11 @@ pub fn run_smp_suite(
 
 /// Outcome of the exhaustive failure-point sweep for one shared workload
 /// (`--fail-points all`): a single forward pass that examines **every
-/// cycle** as a failure point — checkpoint round-trip through the
-/// serialized stream, CSQ replay into a clone of the live NVM image
-/// (power failure never touches NVM, so the clone is the post-crash
-/// image), golden-prefix diff — tearing the controller flush on a strided
-/// subset of cells, plus a few full recover-and-resume points sampled
-/// from the run for phase-4 coverage.
+/// cycle** as a failure point — a [`SmpSystem::crash_cell`] (checkpoint
+/// round-trip through the serialized stream, CSQ replay into a clone of
+/// the live NVM image) and a golden-prefix diff — tearing the controller
+/// flush on a strided subset of cells, plus a few full recover-and-resume
+/// points sampled from the run for phase-4 coverage.
 #[derive(Debug)]
 pub struct SmpSweepOutcome {
     /// Shared workload name.
@@ -286,46 +265,33 @@ pub fn run_smp_app_exhaustive(
     loop {
         let cycle = sys.now();
         cells += 1;
-        let ckpt = sys.jit_checkpoint();
-        let stream = ckpt.serialize();
-
         // Tearing probe every third cell, at a cell-derived interrupt.
-        if cells.is_multiple_of(3) && !stream.is_empty() {
+        let cell = sys.crash_cell(cells.is_multiple_of(3).then_some(cells * 13));
+        if let Some(torn) = cell.torn {
             torn_cells += 1;
-            let mut fsm = CheckpointController::new();
-            fsm.power_fail(stream.len() as u64 * 8);
-            let interrupt = (cells * 13) % stream.len() as u64;
-            for _ in 0..interrupt {
-                if !fsm.step() {
-                    break;
-                }
-            }
-            let words = fsm.words_done().min(stream.len() as u64 - 1);
-            if MachineCheckpoint::deserialize(&stream[..words as usize]).is_some() {
+            if !torn.torn_prefix_rejected {
                 fail(
                     &mut first_failure,
                     &mut torn_accepted,
-                    format!("cycle {cycle}: torn prefix ({words} words) accepted"),
+                    format!(
+                        "cycle {cycle}: torn prefix ({} words) accepted",
+                        torn.torn_words
+                    ),
                 );
             }
         }
 
         // Round-trip recovery against the golden prefix union.
-        match MachineCheckpoint::deserialize(&stream) {
+        match cell.recovered {
             None => fail(
                 &mut first_failure,
                 &mut mismatch_cells,
                 format!("cycle {cycle}: intact stream failed to deserialize"),
             ),
-            Some(recovered) => {
-                let committed_per_core: Vec<u64> =
-                    recovered.images.iter().map(|i| i.committed).collect();
+            Some((images, nvm)) => {
+                let committed_per_core: Vec<u64> = images.iter().map(|i| i.committed).collect();
                 let golden = GoldenMemory::from_thread_prefixes(&traces, &committed_per_core)
                     .expect("shared workloads are single-writer per word");
-                let mut nvm = sys.mem().nvm_image().clone();
-                for image in &recovered.images {
-                    ppa_core::replay_stores(image, &mut nvm);
-                }
                 let diffs = golden.diff_nvm(&nvm);
                 if !diffs.is_empty() {
                     fail(
@@ -399,14 +365,12 @@ impl SmpMutationReport {
 
     /// The distinct invariant kinds that fired.
     pub fn fired_kinds(&self) -> Vec<InvariantKind> {
-        let mut kinds: Vec<InvariantKind> = self.violations.iter().map(|v| v.kind).collect();
-        kinds.dedup();
-        kinds
+        crate::mutation::distinct_kinds(&self.violations)
     }
 }
 
 /// Runs every [`ArbiterFault`] through the multi-core machine and reports
-/// what the validators caught. A correct checker detects all three — and
+/// what the validators caught. A correct checker detects all four — and
 /// stays silent on the clean run the oracle sweep exercises.
 pub fn run_arbiter_mutations(len: usize, seed: u64) -> Vec<SmpMutationReport> {
     let cases = [
@@ -497,13 +461,23 @@ mod tests {
 
     #[test]
     fn every_arbiter_mutation_is_detected() {
-        for report in run_arbiter_mutations(1_500, 1) {
+        let reports = run_arbiter_mutations(1_500, 1);
+        assert_eq!(reports.len(), 4);
+        for report in reports {
             assert!(
                 report.detected(),
                 "{:?} not detected; fired: {:?}",
                 report.fault,
                 report.fired_kinds()
             );
+            let kinds = report.fired_kinds();
+            for (i, k) in kinds.iter().enumerate() {
+                assert!(
+                    !kinds[i + 1..].contains(k),
+                    "{:?} names {k:?} twice",
+                    report.fault
+                );
+            }
         }
     }
 }

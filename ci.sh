@@ -209,6 +209,9 @@ time PPA_JOBS=1 cargo run -q -p ppa-verify --release -- smp --fail-points all \
 PPA_JOBS=8 cargo run -q -p ppa-verify --release -- smp --fail-points all \
     > /tmp/ppa_ci_smp_all_j8.txt 2> /dev/null
 diff /tmp/ppa_ci_smp_all_j1.txt /tmp/ppa_ci_smp_all_j8.txt
+# Golden output, as results/repro_all.txt is gated: a checkpoint-codec or
+# recovery change that moves any crash verdict or cell count fails here.
+diff results/smp_fail_points_all.txt /tmp/ppa_ci_smp_all_j1.txt
 
 echo "== ppa-verify smp determinism (sampled failure points)"
 PPA_JOBS=1 cargo run -q -p ppa-verify --release -- smp > /tmp/ppa_ci_smp_j1.txt 2> /dev/null
@@ -225,6 +228,8 @@ echo "== ppa-litmus conformance gate (256 tests, pinned seed)"
 time PPA_JOBS=1 cargo run -q -p ppa-litmus --release -- run --tests 256 --seed 1 \
     --metrics-json /tmp/ppa_ci_litmus.json > /tmp/ppa_ci_litmus_local.txt 2> /dev/null
 grep -q "machine-unsound=0" /tmp/ppa_ci_litmus_local.txt
+# Golden output: every test's cells, torn flushes and reached states.
+diff results/litmus_256_seed1.txt /tmp/ppa_ci_litmus_local.txt
 grep -q "waivers: ppa-prefix-strength (model-incomplete): exercised by" /tmp/ppa_ci_litmus_local.txt
 if grep -q "exercised by 0/" /tmp/ppa_ci_litmus_local.txt; then
     echo "ci: a waiver was never exercised"; exit 1

@@ -717,15 +717,24 @@ impl Core {
     /// LCPC, and the physical registers referenced by CSQ or CRT entries.
     /// In-flight (uncommitted) state is deliberately excluded.
     pub fn jit_checkpoint(&self) -> CheckpointImage {
-        let mut regs: Vec<PhysReg> = self.csq.iter().map(|e| e.src).collect();
-        regs.extend(self.crt.iter().map(|(_, p)| p));
-        regs.sort_unstable();
-        regs.dedup();
+        let csq: Vec<_> = self.csq.iter().copied().collect();
+        let mut crt = Vec::with_capacity(ArchReg::flat_count());
+        crt.extend(self.crt.iter());
+        // The saved PRF slice is CSQ sources ∪ CRT targets; marking them in
+        // a bit-per-register set yields them deduplicated, in bank order.
+        let mut saved = MaskReg::new(self.cfg.int_prf, self.cfg.fp_prf);
+        for p in csq.iter().map(|e| e.src).chain(crt.iter().map(|&(_, p)| p)) {
+            saved.mask(p);
+        }
+        let mut prf_values = Vec::with_capacity(saved.masked_count());
+        prf_values.extend(saved.masked_regs().map(|r| (r, self.prf.value(r))));
+        let mut masked = Vec::with_capacity(self.mask.masked_count());
+        masked.extend(self.mask.masked_regs());
         CheckpointImage {
-            csq: self.csq.iter().copied().collect(),
-            crt: self.crt.iter().collect(),
-            masked: self.mask.masked_regs().collect(),
-            prf_values: regs.iter().map(|&r| (r, self.prf.value(r))).collect(),
+            csq,
+            crt,
+            masked,
+            prf_values,
             lcpc: self.lcpc,
             committed: self.committed,
         }

@@ -49,12 +49,32 @@ impl CheckpointImage {
     }
 
     /// Serializes the image into the 8-byte-word stream the checkpoint
-    /// controller writes to NVM: a magic header, the five structures, a
-    /// checksum, and a completion marker. The marker is the last word
-    /// written, so any prefix of the stream (a torn, mid-flush image) is
-    /// detectably incomplete.
+    /// controller writes to NVM: a magic header, the packed counts, LCPC
+    /// and commit index, the five structures, a checksum over all of those
+    /// words (one mixing step per word, so decoding costs little beyond
+    /// the stream's length), and a completion marker. The marker is the
+    /// last word written, so any prefix of the stream (a torn, mid-flush
+    /// image) is detectably incomplete.
     pub fn serialize(&self) -> Vec<u64> {
-        let mut w = Vec::with_capacity(8 + self.csq.len() * 2 + self.crt.len());
+        let mut w = Vec::with_capacity(self.serialized_len());
+        self.serialize_into(&mut w);
+        w
+    }
+
+    /// Words [`CheckpointImage::serialize`] produces.
+    fn serialized_len(&self) -> usize {
+        body_len(
+            self.csq.len(),
+            self.crt.len(),
+            self.masked.len(),
+            self.prf_values.len(),
+        ) + 2
+    }
+
+    /// Appends the serialized image to `w`, checksumming only the words
+    /// this image wrote (anything already in `w` is another image's).
+    fn serialize_into(&self, w: &mut Vec<u64>) {
+        let start = w.len();
         w.push(IMAGE_MAGIC);
         w.push(pack_counts(
             self.csq.len(),
@@ -78,9 +98,9 @@ impl CheckpointImage {
             w.push(pack_phys(p));
             w.push(v);
         }
-        w.push(checksum(&w));
+        let sum = checksum(&w[start..]);
+        w.push(sum);
         w.push(IMAGE_END);
-        w
     }
 
     /// Rebuilds an image from a serialized word stream, returning the
@@ -88,11 +108,19 @@ impl CheckpointImage {
     /// stream is torn (truncated mid-flush), corrupted, or lacks its
     /// completion marker — a recovery path must never trust such state.
     pub fn deserialize(words: &[u64]) -> Option<(CheckpointImage, usize)> {
-        let mut r = Reader { words, pos: 0 };
-        if r.next()? != IMAGE_MAGIC {
+        if *words.first()? != IMAGE_MAGIC {
             return None;
         }
-        let (csq_len, crt_len, masked_len, prf_len) = unpack_counts(r.next()?);
+        let (csq_len, crt_len, masked_len, prf_len) = unpack_counts(*words.get(1)?);
+        // The counts are 16-bit fields, so the length cannot overflow; a
+        // stream too short for them is torn and fails before any
+        // allocation they would size.
+        let body = body_len(csq_len, crt_len, masked_len, prf_len);
+        let (&sum, &end) = (words.get(body)?, words.get(body + 1)?);
+        if sum != checksum(&words[..body]) || end != IMAGE_END {
+            return None;
+        }
+        let mut r = Reader { words, pos: 2 };
         let lcpc = r.next()?;
         let committed = r.next()?;
         let mut csq = Vec::with_capacity(csq_len);
@@ -120,10 +148,6 @@ impl CheckpointImage {
             let v = r.next()?;
             prf_values.push((p, v));
         }
-        let expected = checksum(&words[..r.pos]);
-        if r.next()? != expected || r.next()? != IMAGE_END {
-            return None;
-        }
         Some((
             CheckpointImage {
                 csq,
@@ -133,7 +157,7 @@ impl CheckpointImage {
                 lcpc,
                 committed,
             },
-            r.pos,
+            body + 2,
         ))
     }
 }
@@ -156,17 +180,29 @@ impl Reader<'_> {
     }
 }
 
-/// FNV-1a over the little-endian bytes of the words — the integrity word
-/// the controller appends so recovery can reject corrupted images.
+/// The integrity word the controller appends so recovery can reject
+/// corrupted images: one mixing step per word,
+/// `h = (h ^ w) * K; h ^= h >> 29`.
+///
+/// Every step is a bijection of the running state for a fixed word, and
+/// of the word for a fixed state, so a stream differing from the written
+/// one in any single word always ends in a different checksum. The
+/// xorshift is what makes that hold for more than one word: without it a
+/// flip of bit 63 only ever reaches bit 63 (`(x ^ 1 << 63) * K` is
+/// `x * K ^ 1 << 63` for odd `K`), and the same flip in the next word
+/// cancels it.
 fn checksum(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        let h = (h ^ w).wrapping_mul(K);
+        h ^ h >> 29
+    })
+}
+
+/// Words of an image's body: header (magic, counts, LCPC, commit index)
+/// and the structures, without the checksum and end marker.
+fn body_len(csq: usize, crt: usize, masked: usize, prf: usize) -> usize {
+    4 + 2 * csq + crt + masked + 2 * prf
 }
 
 fn pack_counts(csq: usize, crt: usize, masked: usize, prf: usize) -> u64 {
@@ -224,9 +260,14 @@ fn unpack_arch(w: u64) -> Option<ArchReg> {
 /// The trailing marker is written last, so a flush interrupted at any
 /// word leaves a stream [`deserialize_images`] rejects.
 pub fn serialize_images(images: &[CheckpointImage]) -> Vec<u64> {
-    let mut w = vec![STREAM_MAGIC, images.len() as u64];
+    let len = 3 + images
+        .iter()
+        .map(CheckpointImage::serialized_len)
+        .sum::<usize>();
+    let mut w = Vec::with_capacity(len);
+    w.extend([STREAM_MAGIC, images.len() as u64]);
     for img in images {
-        w.extend(img.serialize());
+        img.serialize_into(&mut w);
     }
     w.push(STREAM_END);
     w

@@ -28,31 +28,70 @@ use ppa_isa::RegClass;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskReg {
-    int_bits: Vec<bool>,
-    fp_bits: Vec<bool>,
+    int: Bank,
+    fp: Bank,
     masked_count: usize,
+}
+
+/// One PRF bank's bits, 64 registers to a word.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Bank {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Bank {
+    fn new(len: usize) -> Self {
+        Bank {
+            words: vec![0; len.div_ceil(64)],
+            len,
+        }
+    }
+
+    /// Word index and bit mask of register `index`.
+    fn slot(&self, index: u16) -> (usize, u64) {
+        let i = index as usize;
+        assert!(
+            i < self.len,
+            "register {i} outside a {}-entry bank",
+            self.len
+        );
+        (i / 64, 1 << (i % 64))
+    }
+
+    /// Indices of the set bits, ascending.
+    fn set_bits(&self) -> impl Iterator<Item = u16> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros();
+                rest &= rest.checked_sub(1)?;
+                Some((i * 64) as u16 + bit as u16)
+            })
+        })
+    }
 }
 
 impl MaskReg {
     /// Creates an all-clear mask sized to the PRF banks.
     pub fn new(int_size: usize, fp_size: usize) -> Self {
         MaskReg {
-            int_bits: vec![false; int_size],
-            fp_bits: vec![false; fp_size],
+            int: Bank::new(int_size),
+            fp: Bank::new(fp_size),
             masked_count: 0,
         }
     }
 
-    fn bits(&self, class: RegClass) -> &Vec<bool> {
+    fn bank(&self, class: RegClass) -> &Bank {
         match class {
-            RegClass::Int => &self.int_bits,
-            RegClass::Fp => &self.fp_bits,
+            RegClass::Int => &self.int,
+            RegClass::Fp => &self.fp,
         }
     }
 
     /// Number of bits in the vector (the paper's 348 for the default PRF).
     pub fn len(&self) -> usize {
-        self.int_bits.len() + self.fp_bits.len()
+        self.int.len + self.fp.len
     }
 
     /// Whether any register is masked.
@@ -68,42 +107,36 @@ impl MaskReg {
     /// Masks `reg` (idempotent — a register feeding several stores in one
     /// region is masked once).
     pub fn mask(&mut self, reg: PhysReg) {
-        let bit = match reg.class() {
-            RegClass::Int => &mut self.int_bits[reg.index() as usize],
-            RegClass::Fp => &mut self.fp_bits[reg.index() as usize],
+        let bank = match reg.class() {
+            RegClass::Int => &mut self.int,
+            RegClass::Fp => &mut self.fp,
         };
-        if !*bit {
-            *bit = true;
+        let (word, bit) = bank.slot(reg.index());
+        if bank.words[word] & bit == 0 {
+            bank.words[word] |= bit;
             self.masked_count += 1;
         }
     }
 
     /// Whether `reg` is masked.
     pub fn is_masked(&self, reg: PhysReg) -> bool {
-        self.bits(reg.class())[reg.index() as usize]
+        let bank = self.bank(reg.class());
+        let (word, bit) = bank.slot(reg.index());
+        bank.words[word] & bit != 0
     }
 
     /// Clears every bit (region boundary).
     pub fn clear(&mut self) {
-        self.int_bits.fill(false);
-        self.fp_bits.fill(false);
+        self.int.words.fill(0);
+        self.fp.words.fill(0);
         self.masked_count = 0;
     }
 
-    /// Iterator over all masked registers (checkpoint contents).
+    /// Iterator over all masked registers (checkpoint contents), integer
+    /// bank first, each bank in index order.
     pub fn masked_regs(&self) -> impl Iterator<Item = PhysReg> + '_ {
-        let ints = self
-            .int_bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| PhysReg::new(RegClass::Int, i as u16));
-        let fps = self
-            .fp_bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| PhysReg::new(RegClass::Fp, i as u16));
+        let ints = self.int.set_bits().map(|i| PhysReg::new(RegClass::Int, i));
+        let fps = self.fp.set_bits().map(|i| PhysReg::new(RegClass::Fp, i));
         ints.chain(fps)
     }
 }
@@ -143,6 +176,32 @@ mod tests {
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.masked_regs().count(), 0);
+    }
+
+    #[test]
+    fn masked_regs_walks_bank_order_across_word_boundaries() {
+        let mut m = MaskReg::new(180, 168);
+        let regs = [
+            PhysReg::new(RegClass::Int, 0),
+            PhysReg::new(RegClass::Int, 63),
+            PhysReg::new(RegClass::Int, 64),
+            PhysReg::new(RegClass::Int, 179),
+            PhysReg::new(RegClass::Fp, 0),
+            PhysReg::new(RegClass::Fp, 127),
+            PhysReg::new(RegClass::Fp, 167),
+        ];
+        for &r in regs.iter().rev() {
+            m.mask(r);
+        }
+        assert_eq!(m.masked_regs().collect::<Vec<_>>(), regs);
+        assert_eq!(m.masked_count(), regs.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn masking_past_the_bank_panics() {
+        let mut m = MaskReg::new(8, 8);
+        m.mask(PhysReg::new(RegClass::Int, 8));
     }
 
     #[test]

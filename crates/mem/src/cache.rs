@@ -1,5 +1,5 @@
+use crate::hash::U64Map;
 use ppa_isa::CACHE_LINE_BYTES;
-use std::collections::HashMap;
 
 /// Configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,7 @@ pub struct AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: HashMap<u64, Vec<Line>>,
+    sets: U64Map<Vec<Line>>,
     stats: CacheStats,
     tick: u64,
 }
@@ -109,7 +109,7 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         Cache {
             cfg,
-            sets: HashMap::new(),
+            sets: U64Map::default(),
             stats: CacheStats::default(),
             tick: 0,
         }

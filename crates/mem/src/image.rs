@@ -1,5 +1,5 @@
+use crate::hash::U64Map;
 use ppa_isa::{line_of, CACHE_LINE_BYTES};
-use std::collections::HashMap;
 
 /// Architectural memory: the value every committed store left behind, in
 /// program (commit) order, at 8-byte-word granularity.
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArchMem {
-    words: HashMap<u64, u64>,
+    words: U64Map<u64>,
 }
 
 impl ArchMem {
@@ -94,7 +94,7 @@ impl ArchMem {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NvmImage {
-    words: HashMap<u64, u64>,
+    words: U64Map<u64>,
 }
 
 impl NvmImage {

@@ -45,6 +45,7 @@
 
 mod cache;
 mod config;
+mod hash;
 mod image;
 mod multi_mc;
 mod nvm;

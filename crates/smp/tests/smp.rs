@@ -146,6 +146,30 @@ fn crash_cells_at_every_cycle_leave_the_run_unchanged() {
 }
 
 #[test]
+fn every_cycles_recovered_images_are_the_machine_checkpoint() {
+    let mut sys = machine("counters", 4, 400, SystemConfig::ppa());
+    let mut with_stores = 0;
+    while !sys.is_finished() {
+        let images = sys.jit_checkpoint();
+        let cell = sys.crash_cell(None);
+        let (recovered, _) = cell.recovered.expect("intact stream deserializes");
+        assert_eq!(recovered, images, "cycle {}", sys.now());
+        assert_eq!(cell.words, serialize_images(&images).len() as u64);
+        for image in &images {
+            assert!(
+                image.prf_values.windows(2).all(|w| w[0].0 < w[1].0),
+                "cycle {}: PRF slice not sorted and unique",
+                sys.now()
+            );
+            assert!(image.masked.windows(2).all(|w| w[0] < w[1]));
+        }
+        with_stores += usize::from(images.iter().any(|i| !i.csq.is_empty()));
+        sys.step();
+    }
+    assert!(with_stores > 0, "no cycle checkpointed a committed store");
+}
+
+#[test]
 fn unordered_grants_are_caught() {
     let mut sys = machine("counters", 4, 2_000, SystemConfig::ppa());
     sys.inject_arbiter_fault(ArbiterFault::UnorderedGrants);

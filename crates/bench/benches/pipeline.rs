@@ -2,7 +2,7 @@
 //! persistence scheme, plus the checkpoint/recovery hot path.
 
 use ppa_bench::harness::bench_function;
-use ppa_core::{replay_stores, Core, CoreConfig, InOrderCore, PersistenceMode};
+use ppa_core::{replay_stores, Core, CoreConfig, InOrderCore, Lockstep, PersistenceMode};
 use ppa_mem::{MemConfig, MemorySystem};
 use ppa_sim::{Machine, SystemConfig};
 use ppa_workloads::registry;
@@ -34,15 +34,13 @@ fn bench_modes() {
 
 fn bench_checkpoint_recovery() {
     let app = registry::by_name("tpcc").expect("tpcc exists");
-    let trace = app.generate(LEN, 1);
+    let traces = [app.generate(LEN, 1)];
     // Run a PPA core part-way to populate the CSQ/MaskReg.
     let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-    let mut core = Core::new(cfg, 0);
-    for now in 0..3_000 {
-        core.step(&trace, &mut mem, now);
-        mem.tick(now);
-    }
+    let mut cores = [Core::new(cfg, 0)];
+    Lockstep::new(&mut cores, &traces, &mut mem).run_to(3_000);
+    let [core] = cores;
 
     bench_function("recovery", "jit_checkpoint", |b| {
         b.iter(|| black_box(core.jit_checkpoint()))

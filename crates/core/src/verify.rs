@@ -797,6 +797,7 @@ pub fn check_snapshot(view: &CoreView<'_>) -> Vec<Violation> {
 mod tests {
     use super::*;
     use crate::config::{CoreConfig, PersistenceMode};
+    use crate::lockstep::Lockstep;
     use crate::pipeline::Core;
     use ppa_isa::{ArchReg, TraceBuilder};
     use ppa_mem::{MemConfig, MemorySystem};
@@ -808,13 +809,14 @@ mod tests {
             b.alu(r, &[r]);
             b.store(r, 0x1000 + i * 8, i + 1);
         }
-        let trace = b.build();
+        let traces = [b.build()];
         let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-        let mut core = Core::new(CoreConfig::paper_default(PersistenceMode::Ppa), 0);
-        for now in 0..300 {
-            core.step(&trace, &mut mem, now);
-            mem.tick(now);
-        }
+        let mut cores = [Core::new(
+            CoreConfig::paper_default(PersistenceMode::Ppa),
+            0,
+        )];
+        Lockstep::new(&mut cores, &traces, &mut mem).run_to(300);
+        let [core] = cores;
         (core, mem)
     }
 
@@ -896,18 +898,17 @@ mod tests {
             b.alu(r, &[r]);
             b.store(r, 0x1000 + (i % 32) * 8, i + 1);
         }
-        let trace = b.build();
+        let traces = [b.build()];
         let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
         let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-        let mut core = Core::new(cfg, 0);
-        let mut now = 0;
-        while core.csq_len() == 0 {
-            core.step(&trace, &mut mem, now);
-            mem.tick(now);
-            now += 1;
-            assert!(now < 100_000, "CSQ never filled");
+        let mut cores = [Core::new(cfg, 0)];
+        let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
+        while machine.cores()[0].csq_len() == 0 {
+            machine.step();
+            assert!(machine.now() < 100_000, "CSQ never filled");
         }
-        let image = core.jit_checkpoint();
+        let now = machine.now();
+        let image = machine.cores()[0].jit_checkpoint();
         let recovered = Core::recover(cfg, 0, &image);
 
         let mut check = CsqOrderCheck::default();

@@ -5,7 +5,8 @@
 //! [`CheckpointImage::serialize`] writes for it alone.
 
 use ppa_core::{
-    deserialize_images, serialize_images, CheckpointImage, Core, CoreConfig, PersistenceMode,
+    deserialize_images, serialize_images, CheckpointImage, Core, CoreConfig, Lockstep,
+    PersistenceMode,
 };
 use ppa_isa::{ArchReg, Trace, TraceBuilder};
 use ppa_mem::{MemConfig, MemorySystem};
@@ -32,14 +33,14 @@ fn four_core_images() -> Vec<CheckpointImage> {
     let mut rng = Prng::seed_from_u64(0xc4ec_5a11);
     let mut images = Vec::new();
     while images.len() < 4 {
-        let t = trace(&mut rng);
+        let t = [trace(&mut rng)];
         let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-        let mut core = Core::new(CoreConfig::paper_default(PersistenceMode::Ppa), 0);
-        for now in 0..rng.random_range(50..500u64) {
-            core.step(&t, &mut mem, now);
-            mem.tick(now);
-        }
-        let image = core.jit_checkpoint();
+        let mut cores = [Core::new(
+            CoreConfig::paper_default(PersistenceMode::Ppa),
+            0,
+        )];
+        Lockstep::new(&mut cores, &t, &mut mem).run_to(rng.random_range(50..500u64));
+        let image = cores[0].jit_checkpoint();
         if !image.csq.is_empty() && !image.masked.is_empty() {
             images.push(image);
         }

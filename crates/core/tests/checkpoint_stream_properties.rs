@@ -5,7 +5,8 @@
 //! one the controller wrote. Driven by seeded [`ppa_prng::Prng`] loops.
 
 use ppa_core::{
-    deserialize_images, serialize_images, CheckpointImage, Core, CoreConfig, PersistenceMode,
+    deserialize_images, serialize_images, CheckpointImage, Core, CoreConfig, Lockstep,
+    PersistenceMode,
 };
 use ppa_isa::{ArchReg, Trace, TraceBuilder};
 use ppa_mem::{MemConfig, MemorySystem};
@@ -33,14 +34,14 @@ fn trace(rng: &mut Prng) -> Trace {
 fn images(rng: &mut Prng, cores: usize) -> Vec<CheckpointImage> {
     (0..cores)
         .map(|_| {
-            let t = trace(rng);
+            let t = [trace(rng)];
             let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-            let mut core = Core::new(CoreConfig::paper_default(PersistenceMode::Ppa), 0);
-            for now in 0..rng.random_range(1..1_500u64) {
-                core.step(&t, &mut mem, now);
-                mem.tick(now);
-            }
-            core.jit_checkpoint()
+            let mut cores = [Core::new(
+                CoreConfig::paper_default(PersistenceMode::Ppa),
+                0,
+            )];
+            Lockstep::new(&mut cores, &t, &mut mem).run_to(rng.random_range(1..1_500u64));
+            cores[0].jit_checkpoint()
         })
         .collect()
 }

@@ -3,7 +3,7 @@
 //! slice, and a bit-by-bit MaskReg walk in bank order. PPA cores with
 //! several PRF sizes are stopped at seeded random cycles.
 
-use ppa_core::{CheckpointImage, Core, CoreConfig, PersistenceMode, PhysReg};
+use ppa_core::{CheckpointImage, Core, CoreConfig, Lockstep, PersistenceMode, PhysReg};
 use ppa_isa::{ArchReg, RegClass, Trace, TraceBuilder};
 use ppa_mem::{MemConfig, MemorySystem};
 use ppa_prng::Prng;
@@ -60,25 +60,26 @@ fn jit_checkpoint_matches_the_reference_construction() {
     for case in 0..24 {
         let mut cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
         (cfg.int_prf, cfg.fp_prf) = [(180, 168), (80, 80), (128, 128), (280, 224)][case % 4];
-        let t = trace(&mut rng);
+        let t = [trace(&mut rng)];
         let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-        let mut core = Core::new(cfg, 0);
+        let mut cores = [Core::new(cfg, 0)];
+        let mut machine = Lockstep::new(&mut cores, &t, &mut mem);
         let stops = rng.random_range(1..700u64);
         for now in 0..stops {
-            core.step(&t, &mut mem, now);
-            mem.tick(now);
+            machine.step();
             if now % 17 != 0 && now + 1 != stops {
                 continue;
             }
+            let core = &machine.cores()[0];
             let image = core.jit_checkpoint();
-            assert_eq!(image, reference(&core), "case {case} cycle {now}");
+            assert_eq!(image, reference(core), "case {case} cycle {now}");
             assert!(
                 image.prf_values.windows(2).all(|w| w[0].0 < w[1].0),
                 "case {case} cycle {now}: PRF slice not sorted and unique"
             );
             assert_eq!(
                 image.checkpoint_bytes(cfg.int_prf + cfg.fp_prf),
-                reference(&core).checkpoint_bytes(cfg.int_prf + cfg.fp_prf)
+                reference(core).checkpoint_bytes(cfg.int_prf + cfg.fp_prf)
             );
             checked += 1;
             saw_csq += usize::from(!image.csq.is_empty());

@@ -1,7 +1,7 @@
 //! Integration tests for the out-of-order core: structural limits,
 //! renaming invariants under long runs, and checkpoint internals.
 
-use ppa_core::{Core, CoreConfig, CsqEntry, PersistenceMode, PhysReg, Prf, RenameTable};
+use ppa_core::{Core, CoreConfig, CsqEntry, Lockstep, PersistenceMode, PhysReg, Prf, RenameTable};
 use ppa_isa::{ArchReg, RegClass, SyncKind, Trace, TraceBuilder};
 use ppa_mem::{MemConfig, MemorySystem};
 
@@ -95,23 +95,25 @@ fn sync_commits_with_an_empty_csq() {
         b.store(ArchReg::int(0), 0x100 + i * 64, i);
     }
     b.sync(SyncKind::LockRelease);
-    let trace = b.build();
+    let traces = [b.build()];
     let mut m = mem();
-    let mut c = Core::new(CoreConfig::paper_default(PersistenceMode::Ppa), 0);
-    let mut now = 0;
+    let mut cores = [Core::new(
+        CoreConfig::paper_default(PersistenceMode::Ppa),
+        0,
+    )];
+    let mut machine = Lockstep::new(&mut cores, &traces, &mut m);
     let mut seen_sync_commit = false;
-    while !c.is_finished() {
-        let before = c.committed();
-        c.step(&trace, &mut m, now);
-        m.tick(now);
-        if c.committed() > before && c.committed() == trace.len() as u64 {
+    while !machine.cores()[0].is_finished() {
+        let before = machine.cores()[0].committed();
+        machine.step();
+        let c = &machine.cores()[0];
+        if c.committed() > before && c.committed() == traces[0].len() as u64 {
             // The sync was the last commit; the region it closed must have
             // drained the CSQ before it could commit.
             assert_eq!(c.csq_len(), 0, "sync committed with a non-empty CSQ");
             seen_sync_commit = true;
         }
-        now += 1;
-        assert!(now < 1_000_000);
+        assert!(machine.now() < 1_000_000);
     }
     assert!(seen_sync_commit);
 }
@@ -134,12 +136,12 @@ fn checkpoint_image_is_self_contained() {
         b.build()
     };
     let mut m = mem();
-    let mut c = Core::new(CoreConfig::paper_default(PersistenceMode::Ppa), 0);
-    for now in 0..900 {
-        c.step(&app_like, &mut m, now);
-        m.tick(now);
-    }
-    let image = c.jit_checkpoint();
+    let mut cores = [Core::new(
+        CoreConfig::paper_default(PersistenceMode::Ppa),
+        0,
+    )];
+    Lockstep::new(&mut cores, std::slice::from_ref(&app_like), &mut m).run_to(900);
+    let image = cores[0].jit_checkpoint();
     for e in &image.csq {
         assert!(
             image.reg_value(e.src).is_some(),

@@ -101,7 +101,7 @@ pub fn check_consistency(mem: &MemorySystem) -> ConsistencyReport {
 mod tests {
     use super::*;
     use crate::presets::SystemConfig;
-    use ppa_core::{Core, PersistenceMode};
+    use ppa_core::{Core, Lockstep, PersistenceMode};
     use ppa_isa::{ArchReg, TraceBuilder};
 
     fn run_mode(mode: PersistenceMode, drain: bool) -> MemorySystem {
@@ -111,20 +111,18 @@ mod tests {
             b.alu(r, &[]);
             b.store(r, 0x1000 + (i % 4) * 64, i + 1);
         }
-        let trace = b.build();
+        let traces = [b.build()];
         let cfg = match mode {
             PersistenceMode::Ppa => SystemConfig::ppa(),
             _ => SystemConfig::baseline(),
         };
         let mut mem = MemorySystem::new(cfg.mem, 1);
-        let mut core = Core::new(cfg.core, 0);
+        let mut cores = [Core::new(cfg.core, 0)];
+        let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
         if drain {
-            core.run(&trace, &mut mem);
+            assert!(machine.run());
         } else {
-            for now in 0..40 {
-                core.step(&trace, &mut mem, now);
-                mem.tick(now);
-            }
+            machine.run_to(40);
         }
         mem
     }

@@ -1,5 +1,5 @@
 use crate::presets::SystemConfig;
-use ppa_core::{deserialize_images, flush, replay_stores, serialize_images, Core, PersistenceMode};
+use ppa_core::{Core, Lockstep, PersistenceMode};
 use ppa_isa::Trace;
 use ppa_mem::MemorySystem;
 
@@ -94,68 +94,27 @@ pub fn inject_failure_with_flush(
 
     let mut mem = MemorySystem::new(cfg.mem, traces.len());
     let mut cores: Vec<Core> = (0..traces.len()).map(|i| Core::new(cfg.core, i)).collect();
+    let mut machine = Lockstep::new(&mut cores, traces, &mut mem);
+    machine.run_to(fail_cycle);
+    let committed_before: u64 = machine.cores().iter().map(Core::committed).sum();
+    let consistent_before_recovery = arch_mem_matches(machine.mem());
 
-    // Phase 1: run until the power failure.
-    for now in 0..fail_cycle {
-        for (core, trace) in cores.iter_mut().zip(traces) {
-            core.step(trace, &mut mem, now);
-        }
-        mem.tick(now);
-    }
-
-    let committed_before: u64 = cores.iter().map(Core::committed).sum();
-    let consistent_before_recovery = mem.nvm_image().diff(mem.arch_mem()).is_empty();
-
-    // Phase 2: power failure — JIT checkpoint through the controller FSM,
-    // then all volatile state dies. The images travel to NVM as a word
-    // stream whose completion marker is written last.
-    let images: Vec<_> = cores.iter().map(Core::jit_checkpoint).collect();
-    let checkpoint_bytes: u64 = images
+    let crash = machine.crash(mid_flush);
+    let checkpoint_bytes: u64 = crash
+        .images
         .iter()
         .map(|i| i.checkpoint_bytes(cfg.core.total_prf()))
         .sum();
-    let stream = serialize_images(&images);
-    let flushed = flush(&stream, mid_flush);
-    mem.power_failure();
+    let replayed_stores = machine.recover(&crash.images);
+    let consistent_after_recovery = arch_mem_matches(machine.mem());
 
-    // Phase 3: recovery — deserialize the durable stream (recovery must
-    // trust nothing else), replay each core's CSQ (any order), and verify
-    // consistency at the last commit point.
-    let recovered_images = deserialize_images(&stream).expect("a completed flush must deserialize");
-    let stream_recovered = recovered_images == images;
-    let mut replayed_stores = 0;
-    for image in &recovered_images {
-        replayed_stores += replay_stores(image, mem.nvm_image_mut()).replayed_stores;
-    }
-    let consistent_after_recovery = mem.nvm_image().diff(mem.arch_mem()).is_empty();
-
-    // Phase 4: resume after the LCPC and run to completion.
-    let mut recovered: Vec<Core> = recovered_images
-        .iter()
-        .enumerate()
-        .map(|(i, img)| Core::recover(cfg.core, i, img))
-        .collect();
-    let total_uops: u64 = traces.iter().map(|t| t.len() as u64).sum();
-    let limit = fail_cycle + 1_000_000 + total_uops * 2_000;
-    let mut now = fail_cycle;
-    loop {
-        let mut all_done = true;
-        for (core, trace) in recovered.iter_mut().zip(traces) {
-            core.step(trace, &mut mem, now);
-            all_done &= core.is_finished();
-        }
-        mem.tick(now);
-        now += 1;
-        if all_done {
-            break;
-        }
-        assert!(now < limit, "recovered machine deadlocked");
-    }
-    let completed = recovered
+    assert!(machine.run(), "recovered machine deadlocked");
+    let completed = machine
+        .cores()
         .iter()
         .zip(traces)
         .all(|(c, t)| c.committed() == t.len() as u64)
-        && mem.nvm_image().diff(mem.arch_mem()).is_empty();
+        && arch_mem_matches(machine.mem());
 
     FailureOutcome {
         fail_cycle,
@@ -163,13 +122,18 @@ pub fn inject_failure_with_flush(
         consistent_before_recovery,
         replayed_stores,
         checkpoint_bytes,
-        flush_cycles: flushed.cycles,
-        torn_words: flushed.torn_words,
-        torn_prefix_rejected: flushed.torn_prefix_rejected,
-        stream_recovered,
+        flush_cycles: crash.flush.cycles,
+        torn_words: crash.flush.torn_words,
+        torn_prefix_rejected: crash.flush.torn_prefix_rejected,
+        stream_recovered: crash.stream_recovered,
         consistent_after_recovery,
         completed_after_resume: completed,
     }
+}
+
+/// The judge: whether the NVM image holds every committed store.
+fn arch_mem_matches(mem: &MemorySystem) -> bool {
+    mem.nvm_image().diff(mem.arch_mem()).is_empty()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 use crate::presets::SystemConfig;
 use crate::report::SimReport;
-use ppa_core::Core;
+use ppa_core::{Core, Lockstep};
 use ppa_isa::transform::{CapriPass, ReplayCachePass, TracePass};
 use ppa_isa::Trace;
 use ppa_mem::MemorySystem;
@@ -102,8 +102,8 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `traces` is empty or the machine deadlocks (a cycle
-    /// bound of 2000 cycles per micro-op is enforced).
+    /// Panics if `traces` is empty or the machine hits the
+    /// [`Lockstep`] deadlock bound.
     pub fn run_threads(&self, traces: &[Trace]) -> SimReport {
         self.run_inner(traces, &Prewarm::default())
     }
@@ -127,27 +127,10 @@ impl Machine {
                 core.enable_profiling();
             }
         }
-        let total_uops: u64 = traces.iter().map(|t| t.len() as u64).sum();
-        let limit = 1_000_000 + total_uops * 2_000;
-        let mut now = 0;
-        loop {
-            let mut all_done = true;
-            for (core, trace) in cores.iter_mut().zip(traces) {
-                core.step(trace, &mut mem, now);
-                all_done &= core.is_finished();
-            }
-            mem.tick(now);
-            now += 1;
-            if all_done {
-                break;
-            }
-            assert!(now < limit, "machine deadlocked after {now} cycles");
-        }
-        let cycles = cores
-            .iter()
-            .map(|c| c.finished_at().expect("all cores finished"))
-            .max()
-            .unwrap_or(0);
+        let mut machine = Lockstep::new(&mut cores, traces, &mut mem);
+        let finished = machine.run();
+        let cycles = machine.now();
+        assert!(finished, "machine deadlocked after {cycles} cycles");
         let committed = cores.iter().map(Core::committed).sum();
         let consistent = mem.nvm_image().diff(mem.arch_mem()).is_empty();
         // Once-per-run telemetry (never per-cycle): total simulated
@@ -157,22 +140,8 @@ impl Machine {
         ppa_obs::registry::counter("sim.uops.committed").add(committed);
         #[cfg(feature = "prof")]
         if crate::profiling_enabled() {
-            // Lift the stage accumulators once per run, summed across
-            // cores; `ppa_obs::prof::collapsed_stacks` folds the `.ns`
-            // halves into flamegraph lines.
-            for stage in ppa_core::prof::STAGES {
-                let (mut stage_cycles, mut stage_ns) = (0u64, 0u64);
-                for core in &cores {
-                    for t in core.stage_timings() {
-                        if t.name == stage {
-                            stage_cycles += t.cycles;
-                            stage_ns += t.elapsed.as_nanos() as u64;
-                        }
-                    }
-                }
-                ppa_obs::registry::counter(&format!("prof.core.step.{stage}.cycles"))
-                    .add(stage_cycles);
-                ppa_obs::registry::counter(&format!("prof.core.step.{stage}.ns")).add(stage_ns);
+            for (name, value) in ppa_core::prof::stage_counters(&cores) {
+                ppa_obs::registry::counter(&name).add(value);
             }
         }
         SimReport {

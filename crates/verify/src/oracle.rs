@@ -18,9 +18,7 @@
 //! exists to guarantee.
 
 use crate::golden::{GoldenMemory, GoldenMismatch};
-use ppa_core::{
-    deserialize_images, flush, replay_stores, serialize_images, Core, CoreConfig, PersistenceMode,
-};
+use ppa_core::{Core, CoreConfig, Lockstep, PersistenceMode};
 use ppa_isa::Trace;
 use ppa_mem::{MemConfig, MemorySystem};
 use ppa_prng::Prng;
@@ -129,64 +127,36 @@ pub fn run_point_with_flush(
 ) -> OracleOutcome {
     let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-    let mut core = Core::new(cfg, 0);
+    let mut cores = [Core::new(cfg, 0)];
+    let traces = std::slice::from_ref(trace);
+    let mut machine = Lockstep::new(&mut cores, traces, &mut mem);
+    machine.run_to(fail_cycle);
+    let committed = machine.cores()[0].committed();
+    let crash = machine.crash(mid_flush);
+    let checkpoint_bytes = crash.images[0].checkpoint_bytes(cfg.total_prf()) as usize;
 
-    // Phase 1: normal execution until the lights go out.
-    for now in 0..fail_cycle {
-        core.step(trace, &mut mem, now);
-        mem.tick(now);
-        if core.is_finished() {
-            break;
-        }
-    }
-
-    // Phase 2: JIT checkpoint + power failure. The image travels to NVM
-    // through the controller FSM as a word stream whose completion marker
-    // lands last; a mid-flush interruption leaves a torn prefix durable.
-    let image = core.jit_checkpoint();
-    let committed = core.committed();
-    let checkpoint_bytes = image.checkpoint_bytes(cfg.total_prf()) as usize;
-    let stream = serialize_images(std::slice::from_ref(&image));
-    let flushed = flush(&stream, mid_flush);
-    mem.power_failure();
-
-    // Phase 3: recovery — deserialize the durable stream (recovery must
-    // trust nothing else), replay the CSQ into NVM, then diff against the
-    // independent golden execution of the committed prefix.
-    let recovered_image = deserialize_images(&stream)
-        .and_then(|mut v| if v.len() == 1 { v.pop() } else { None })
-        .expect("a completed flush must deserialize to one image");
-    let stream_recovered = recovered_image == image;
-    let image = recovered_image;
+    // The judges: the NVM image against an independent golden in-order
+    // execution, of the committed prefix after replay and of the whole
+    // trace after resuming.
     let golden_prefix = GoldenMemory::from_trace_prefix(trace, committed);
-    let consistent_before_replay = golden_prefix.diff_nvm(mem.nvm_image()).is_empty();
-    let report = replay_stores(&image, mem.nvm_image_mut());
-    let recovery_mismatches = golden_prefix.diff_nvm(mem.nvm_image());
-
-    // Phase 4: resume from the checkpoint and finish the program.
-    let mut recovered = Core::recover(cfg, 0, &image);
-    let uops = trace.len() as u64;
-    let limit = 1_000_000 + uops * 1_000;
-    let mut now = fail_cycle;
-    while !recovered.is_finished() && now < fail_cycle + limit {
-        recovered.step(trace, &mut mem, now);
-        mem.tick(now);
-        now += 1;
-    }
-    let resumed_to_completion = recovered.is_finished() && recovered.committed() == uops;
-    let final_mismatches = GoldenMemory::from_trace(trace).diff_nvm(mem.nvm_image());
+    let consistent_before_replay = golden_prefix.diff_nvm(machine.mem().nvm_image()).is_empty();
+    let replayed = machine.recover(&crash.images) as u64;
+    let recovery_mismatches = golden_prefix.diff_nvm(machine.mem().nvm_image());
+    let resumed_to_completion =
+        machine.run() && machine.cores()[0].committed() == trace.len() as u64;
+    let final_mismatches = GoldenMemory::from_trace(trace).diff_nvm(machine.mem().nvm_image());
 
     OracleOutcome {
         app,
         seed,
         fail_cycle,
         committed,
-        replayed: report.replayed_stores as u64,
+        replayed,
         checkpoint_bytes,
         mid_flush_interrupt: mid_flush,
-        torn_words: flushed.torn_words,
-        torn_prefix_rejected: flushed.torn_prefix_rejected,
-        stream_recovered,
+        torn_words: crash.flush.torn_words,
+        torn_prefix_rejected: crash.flush.torn_prefix_rejected,
+        stream_recovered: crash.stream_recovered,
         consistent_before_replay,
         recovery_mismatches,
         resumed_to_completion,

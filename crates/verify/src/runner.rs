@@ -8,7 +8,7 @@
 //! report. A correct pipeline produces none on all 41 workloads.
 
 use ppa_core::verify::Violation;
-use ppa_core::{Core, CoreConfig, PersistenceMode};
+use ppa_core::{Core, CoreConfig, Lockstep, PersistenceMode};
 use ppa_isa::Trace;
 use ppa_mem::{MemConfig, MemorySystem};
 use ppa_workloads::{registry, AppDescriptor};
@@ -24,8 +24,8 @@ pub struct CheckReport {
     pub cycles: u64,
     /// Violations reported by the attached validators, across all cores.
     pub violations: Vec<Violation>,
-    /// Whether every core drained within the cycle budget. A `false`
-    /// here is itself a failure (pipeline deadlock).
+    /// Whether every core drained within the [`Lockstep`] deadlock bound.
+    /// A `false` here is itself a failure (pipeline deadlock).
     pub finished: bool,
 }
 
@@ -34,25 +34,6 @@ impl CheckReport {
     pub fn is_clean(&self) -> bool {
         self.finished && self.violations.is_empty()
     }
-}
-
-/// Steps a set of cores (with validators already attached) to
-/// completion over a shared memory system, with a deadlock bound.
-fn run_cores(cores: &mut [Core], traces: &[Trace], mem: &mut MemorySystem) -> (u64, bool) {
-    let uops: usize = traces.iter().map(Trace::len).sum();
-    let limit = 1_000_000 + uops as u64 * 1_000;
-    let mut now = 0;
-    while cores.iter().any(|c| !c.is_finished()) {
-        for (core, trace) in cores.iter_mut().zip(traces) {
-            core.step(trace, mem, now);
-        }
-        mem.tick(now);
-        now += 1;
-        if now >= limit {
-            return (now, false);
-        }
-    }
-    (now, true)
 }
 
 /// Runs one workload in `PersistenceMode::Ppa` with the default
@@ -70,7 +51,9 @@ pub fn check_app(app: &AppDescriptor, len: usize, seed: u64) -> CheckReport {
             c
         })
         .collect();
-    let (cycles, finished) = run_cores(&mut cores, &traces, &mut mem);
+    let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
+    let finished = machine.run();
+    let cycles = machine.now();
     record_check_metrics(&cores, cycles);
     let violations: Vec<Violation> = cores.iter_mut().flat_map(Core::take_violations).collect();
     ppa_obs::registry::counter("verify.check.violations").add(violations.len() as u64);

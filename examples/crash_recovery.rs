@@ -7,30 +7,29 @@
 //! cargo run --release --example crash_recovery
 //! ```
 
-use ppa::core::{replay_stores, Core, CoreConfig, PersistenceMode};
+use ppa::core::{Core, CoreConfig, Lockstep, PersistenceMode};
 use ppa::mem::{MemConfig, MemorySystem};
 use ppa::workloads::registry;
 
 fn main() {
     let app = registry::by_name("pc").expect("WHISPER pc exists");
-    let trace = app.generate(20_000, 7);
+    let traces = [app.generate(20_000, 7)];
     println!("workload: {} — {}", app.name, app.description);
 
+    let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-    let mut core = Core::new(CoreConfig::paper_default(PersistenceMode::Ppa), 0);
+    let mut cores = [Core::new(cfg, 0)];
+    let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
 
     // Phase 1: normal execution, until the outage.
     let fail_cycle = 6_000;
-    for now in 0..fail_cycle {
-        core.step(&trace, &mut mem, now);
-        mem.tick(now);
-    }
-    let committed = core.committed();
-    let dirty = mem.nvm_image().diff(mem.arch_mem());
+    machine.run_to(fail_cycle);
+    let committed = machine.cores()[0].committed();
+    let dirty = machine.mem().nvm_image().diff(machine.mem().arch_mem());
     println!("\n-- power failure at cycle {fail_cycle} --");
     println!(
         "committed so far: {committed} micro-ops (LCPC = {:#x})",
-        core.lcpc()
+        machine.cores()[0].lcpc()
     );
     println!(
         "NVM words inconsistent with committed state: {} {}",
@@ -43,9 +42,11 @@ fn main() {
     );
 
     // Phase 2: JIT checkpointing (§4.5) — MaskReg, CRT, CSQ, LCPC, and the
-    // masked slice of the PRF go to NVM; everything else dies.
-    let image = core.jit_checkpoint();
-    let bytes = image.checkpoint_bytes(core.config().total_prf());
+    // masked slice of the PRF go to NVM through the checkpoint controller;
+    // everything else dies.
+    let crash = machine.crash(None);
+    let image = &crash.images[0];
+    let bytes = image.checkpoint_bytes(cfg.total_prf());
     println!("\n-- JIT checkpoint --");
     println!(
         "CSQ entries (committed stores of the region): {}",
@@ -53,40 +54,36 @@ fn main() {
     );
     println!("masked physical registers: {}", image.masked.len());
     println!("checkpoint size: {bytes} bytes (paper worst case: 1838)");
+    println!(
+        "controller flush: {} cycles; image read back intact: {}",
+        crash.flush.cycles, crash.stream_recovered
+    );
     let e = ppa::energy::checkpoint_energy_uj(bytes);
     let t = ppa::energy::checkpoint_time_ns(bytes, 2.3);
     println!("energy: {e:.2} uJ   flush time: {:.2} us", t / 1000.0);
-    mem.power_failure();
 
     // Phase 3: recovery (§4.6) — restore, replay, verify.
     println!("\n-- recovery --");
-    let report = replay_stores(&image, mem.nvm_image_mut());
-    println!(
-        "replayed {} committed stores from the CSQ",
-        report.replayed_stores
-    );
-    let diff = mem.nvm_image().diff(mem.arch_mem());
+    let replayed = machine.recover(&crash.images);
+    println!("replayed {replayed} committed stores from the CSQ");
+    let diff = machine.mem().nvm_image().diff(machine.mem().arch_mem());
     println!(
         "NVM vs committed state after replay: {} mismatches",
         diff.len()
     );
     assert!(diff.is_empty(), "recovery must restore crash consistency");
 
-    // Phase 4: resume after the LCPC and run to completion.
-    let mut recovered = Core::recover(*core.config(), 0, &image);
-    let mut now = fail_cycle;
-    while !recovered.is_finished() {
-        recovered.step(&trace, &mut mem, now);
-        mem.tick(now);
-        now += 1;
-    }
+    // Phase 4: resume after the LCPC, from the crash cycle, and run to
+    // completion.
+    assert!(machine.run(), "the recovered machine must finish");
     println!("\n-- resumed --");
     println!(
-        "completed the remaining {} micro-ops; total committed: {}",
-        trace.len() as u64 - committed,
-        recovered.committed()
+        "completed the remaining {} micro-ops by cycle {}; total committed: {}",
+        traces[0].len() as u64 - committed,
+        machine.now(),
+        machine.cores()[0].committed()
     );
-    let final_diff = mem.nvm_image().diff(mem.arch_mem());
+    let final_diff = machine.mem().nvm_image().diff(machine.mem().arch_mem());
     assert!(final_diff.is_empty());
     println!("final NVM image is crash-consistent: true");
 }

@@ -1,7 +1,7 @@
 //! Cross-crate crash-consistency tests: the central correctness claim of
 //! the paper, exercised end-to-end through the facade crate.
 
-use ppa::core::{replay_stores, Core, CoreConfig, PersistenceMode};
+use ppa::core::{Core, CoreConfig, Lockstep, PersistenceMode};
 use ppa::mem::{MemConfig, MemorySystem};
 use ppa::sim::{inject_failure, SystemConfig};
 use ppa::workloads::registry;
@@ -52,20 +52,20 @@ fn the_baseline_inconsistency_actually_exists() {
 #[test]
 fn double_recovery_is_idempotent() {
     let app = registry::by_name("tatp").expect("tatp exists");
-    let trace = app.generate(3_000, 5);
+    let traces = [app.generate(3_000, 5)];
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-    let mut core = Core::new(CoreConfig::paper_default(PersistenceMode::Ppa), 0);
-    for now in 0..1_500 {
-        core.step(&trace, &mut mem, now);
-        mem.tick(now);
-    }
-    let image = core.jit_checkpoint();
-    mem.power_failure();
-    replay_stores(&image, mem.nvm_image_mut());
-    let first = mem.nvm_image().clone();
-    replay_stores(&image, mem.nvm_image_mut());
-    assert_eq!(*mem.nvm_image(), first);
-    assert!(mem.nvm_image().diff(mem.arch_mem()).is_empty());
+    let mut cores = [Core::new(
+        CoreConfig::paper_default(PersistenceMode::Ppa),
+        0,
+    )];
+    let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
+    machine.run_to(1_500);
+    let crash = machine.crash(None);
+    machine.recover(&crash.images);
+    let first = machine.mem().nvm_image().clone();
+    machine.recover(&crash.images);
+    assert_eq!(*machine.mem().nvm_image(), first);
+    assert!(consistent(machine.mem()));
 }
 
 /// Power failure during the *recovered* run is also recoverable — crashes
@@ -73,47 +73,37 @@ fn double_recovery_is_idempotent() {
 #[test]
 fn nested_failures_recover() {
     let app = registry::by_name("gcc").expect("gcc exists");
-    let trace = app.generate(4_000, 9);
-    let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
-
+    let traces = [app.generate(4_000, 9)];
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-    let mut core = Core::new(cfg, 0);
-    for now in 0..800 {
-        core.step(&trace, &mut mem, now);
-        mem.tick(now);
-    }
+    let mut cores = [Core::new(
+        CoreConfig::paper_default(PersistenceMode::Ppa),
+        0,
+    )];
+    let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
+    machine.run_to(800);
     // First failure + recovery.
-    let image1 = core.jit_checkpoint();
-    mem.power_failure();
-    replay_stores(&image1, mem.nvm_image_mut());
-    assert!(mem.nvm_image().diff(mem.arch_mem()).is_empty());
-    let mut core = Core::recover(cfg, 0, &image1);
+    let first = machine.crash(None);
+    machine.recover(&first.images);
+    assert!(consistent(machine.mem()));
 
     // Run a bit more, then fail again.
-    for now in 800..1_600 {
-        core.step(&trace, &mut mem, now);
-        mem.tick(now);
-    }
-    let image2 = core.jit_checkpoint();
-    mem.power_failure();
-    replay_stores(&image2, mem.nvm_image_mut());
-    assert!(mem.nvm_image().diff(mem.arch_mem()).is_empty());
+    machine.run_to(1_600);
+    let second = machine.crash(None);
+    machine.recover(&second.images);
+    assert!(consistent(machine.mem()));
     assert!(
-        image2.committed >= image1.committed,
+        second.images[0].committed >= first.images[0].committed,
         "progress is monotonic"
     );
 
     // Final resume completes.
-    let mut core = Core::recover(cfg, 0, &image2);
-    let mut now = 1_600;
-    while !core.is_finished() {
-        core.step(&trace, &mut mem, now);
-        mem.tick(now);
-        now += 1;
-        assert!(now < 10_000_000, "deadlock after nested recovery");
-    }
-    assert_eq!(core.committed(), trace.len() as u64);
-    assert!(mem.nvm_image().diff(mem.arch_mem()).is_empty());
+    assert!(machine.run(), "deadlock after nested recovery");
+    assert_eq!(machine.cores()[0].committed(), traces[0].len() as u64);
+    assert!(consistent(machine.mem()));
+}
+
+fn consistent(mem: &MemorySystem) -> bool {
+    mem.nvm_image().diff(mem.arch_mem()).is_empty()
 }
 
 /// The checkpoint never exceeds the paper's §7.13 worst case, at any

@@ -5,7 +5,7 @@
 //! Inputs are drawn from seeded [`ppa_prng::Prng`] loops for offline,
 //! reproducible randomness.
 
-use ppa::core::{Core, CoreConfig, PersistenceMode};
+use ppa::core::{Core, CoreConfig, Lockstep, PersistenceMode};
 use ppa::mem::{MemConfig, MemorySystem};
 use ppa::sim::{inject_failure, SystemConfig};
 use ppa::workloads::registry;
@@ -46,20 +46,18 @@ fn resume_point_is_exact() {
     for _ in 0..24 {
         let app = registry::all()[rng.random_below(41) as usize];
         let fail_cycle = 1 + rng.random_below(3_000);
-        let trace = app.generate(1_200, 77);
+        let traces = [app.generate(1_200, 77)];
         let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
         let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
-        let mut core = Core::new(cfg, 0);
-        for now in 0..fail_cycle {
-            core.step(&trace, &mut mem, now);
-            mem.tick(now);
-        }
-        let committed = core.committed();
-        let image = core.jit_checkpoint();
-        assert_eq!(image.committed, committed);
-        let recovered = Core::recover(cfg, 0, &image);
-        assert_eq!(recovered.committed(), committed);
-        assert_eq!(recovered.lcpc(), core.lcpc());
+        let mut cores = [Core::new(cfg, 0)];
+        let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
+        machine.run_to(fail_cycle);
+        let (committed, lcpc) = (machine.cores()[0].committed(), machine.cores()[0].lcpc());
+        let crash = machine.crash(None);
+        assert_eq!(crash.images[0].committed, committed);
+        machine.recover(&crash.images);
+        assert_eq!(machine.cores()[0].committed(), committed);
+        assert_eq!(machine.cores()[0].lcpc(), lcpc);
     }
 }
 

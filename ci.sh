@@ -330,7 +330,10 @@ diff /tmp/ppa_ci_oracle_local.txt /tmp/ppa_ci_serve_b.txt
 ./target/release/ppa-verify oracle --len 800 --grid "serve:$SERVE_ADDR" \
     > /tmp/ppa_ci_serve_c.txt 2> /dev/null
 diff /tmp/ppa_ci_oracle_local.txt /tmp/ppa_ci_serve_c.txt
-sleep 1.5 # one cadence tick so the metrics snapshot includes the hits
+# Stop the daemon and wait for it: `Daemon::run` writes its final
+# metrics snapshot on stop, so the snapshot holds the third pass's hits.
+./target/release/ppa-serve stop --connect "$SERVE_ADDR" > /dev/null 2> /dev/null
+wait "$SERVE_PID"
 python3 - <<'EOF'
 import json
 m = json.load(open("/tmp/ppa_ci_serve_metrics.json"))
@@ -343,8 +346,7 @@ for k in ("serve.queue.depth", "serve.clients.sessions"):
     assert k in m, f"missing {k}"
 print(f"serve ok: hits={m['serve.cache.hits']} entries={m['serve.cache.entries']}")
 EOF
-./target/release/ppa-serve stop --connect "$SERVE_ADDR" > /dev/null 2> /dev/null
-wait "$SERVE_PID" "$SERVE_WORK2" 2> /dev/null || true
+wait "$SERVE_WORK2" 2> /dev/null || true
 rm -f "$SERVE_CKPT" "$SERVE_PORT"
 
 # The design-space exploration fleet, pinned seed: a tiny 2-axis sweep

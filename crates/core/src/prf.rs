@@ -247,6 +247,9 @@ mod tests {
         assert_eq!(prf.allocate(RegClass::Fp, 0), Some(p));
     }
 
+    // `Prf::free` checks for a double free with `debug_assert!`, so
+    // release builds have nothing to test.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics_in_debug() {

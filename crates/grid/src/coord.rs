@@ -17,8 +17,11 @@
 //! callers assemble byte-identical output at any worker count.
 
 use crate::proto::{self, Msg, SpanFrag};
+use crate::sync::{lock, wait, wait_until};
 use std::collections::{BTreeSet, HashMap};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -226,7 +229,6 @@ impl Coordinator {
     /// starts accepting workers.
     pub fn bind(addr: impl ToSocketAddrs, cfg: GridConfig) -> std::io::Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -278,28 +280,26 @@ impl Coordinator {
     /// `timeout`. Returns whether the quorum was reached.
     pub fn wait_for_workers(&self, n: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = lock(&self.shared.state);
         loop {
             if state.stats.workers_joined as usize >= n {
                 return true;
             }
-            let now = Instant::now();
-            if now >= deadline || state.shutdown {
+            if Instant::now() >= deadline || state.shutdown {
                 return false;
             }
-            let (s, _) = self.shared.cv.wait_timeout(state, deadline - now).unwrap();
-            state = s;
+            state = wait_until(&self.shared.cv, state, deadline);
         }
     }
 
     /// Number of currently connected workers.
     pub fn live_workers(&self) -> usize {
-        self.shared.state.lock().unwrap().workers.len()
+        lock(&self.shared.state).workers.len()
     }
 
     /// A snapshot of the scheduler counters.
     pub fn stats(&self) -> GridStats {
-        self.shared.state.lock().unwrap().stats.clone()
+        lock(&self.shared.state).stats.clone()
     }
 
     /// Installs the client-session router. May be called once; a
@@ -316,7 +316,7 @@ impl Coordinator {
     /// when done with them.
     pub fn submit_batch(&self, units: Vec<UnitSpec>, priority: u8, trace_id: u64) -> u64 {
         let n = units.len();
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = lock(&self.shared.state);
         let batch = state.next_batch;
         state.next_batch += 1;
         state.batches.insert(
@@ -355,7 +355,7 @@ impl Coordinator {
     ///
     /// [`drop_batch`]: Coordinator::drop_batch
     pub fn wait_slot(&self, batch: u64, index: usize) -> Result<UnitOutcome, GridError> {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = lock(&self.shared.state);
         loop {
             match state.batches.get(&batch) {
                 None => return Err(GridError::Aborted),
@@ -372,7 +372,7 @@ impl Coordinator {
             if state.shutdown {
                 return Err(GridError::Aborted);
             }
-            state = self.shared.cv.wait(state).unwrap();
+            state = wait(&self.shared.cv, state);
         }
     }
 
@@ -380,7 +380,7 @@ impl Coordinator {
     /// units still queued are cancelled (leased units finish on their
     /// worker; the late result is suppressed as a duplicate).
     pub fn drop_batch(&self, batch: u64) {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = lock(&self.shared.state);
         state.batches.remove(&batch);
         let doomed: Vec<(u64, u8)> = state
             .units
@@ -398,7 +398,7 @@ impl Coordinator {
 
     /// (queued, leased) unit counts — the daemon's depth gauges.
     pub fn queue_depth(&self) -> (usize, usize) {
-        let state = self.shared.state.lock().unwrap();
+        let state = lock(&self.shared.state);
         (
             state.pending.len() + state.delayed.len(),
             state.leases.len(),
@@ -409,7 +409,7 @@ impl Coordinator {
     /// sorted by worker id — the live-progress feed behind
     /// `Msg::CacheStats::worker_detail`.
     pub fn worker_loads(&self) -> Vec<(u64, u64, u64)> {
-        let state = self.shared.state.lock().unwrap();
+        let state = lock(&self.shared.state);
         let mut out: Vec<(u64, u64, u64)> = state
             .workers
             .iter()
@@ -447,8 +447,10 @@ impl Coordinator {
     /// stops. Threads are joined on drop.
     pub fn shutdown(&self) {
         let streams: Vec<TcpStream>;
+        let first;
         {
-            let mut state = self.shared.state.lock().unwrap();
+            let mut state = lock(&self.shared.state);
+            first = !state.shutdown;
             state.shutdown = true;
             streams = state
                 .workers
@@ -456,6 +458,15 @@ impl Coordinator {
                 .filter_map(|w| w.stream.try_clone().ok())
                 .collect();
             self.shared.cv.notify_all();
+        }
+        if first {
+            // The accept loop blocks in `accept`: a connection of our
+            // own wakes it, and it sees the flag set above. (Should the
+            // connect fail because the process is out of descriptors,
+            // `accept` fails the same way and its backoff sees the flag.)
+            if let Err(e) = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT) {
+                ppa_obs::warn!("grid.coord", "waking the accept loop failed: {e}");
+            }
         }
         for mut s in streams {
             let _ = proto::write_msg(&mut s, &Msg::Shutdown);
@@ -476,14 +487,35 @@ impl Drop for Coordinator {
     }
 }
 
+/// Bound on the self-connect that wakes the accept loop on shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Pause after a failed `accept` (EMFILE, ENFILE, ENOBUFS): the error
+/// is the listener's, so retrying at once would spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(25);
+
+/// Where [`Coordinator::shutdown`] connects to wake the accept loop:
+/// the bound address, with an unspecified IP (`0.0.0.0`, `::`) replaced
+/// by loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Blocks in `accept` and hands each connection to its own reader
+/// thread. Shutdown sets the flag, then wakes this loop by connecting.
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     loop {
-        if shared.state.lock().unwrap().shutdown {
+        let accepted = listener.accept();
+        if lock(&shared.state).shutdown {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(shared.cfg.heartbeat_timeout * 2));
                 let shared = Arc::clone(&shared);
@@ -491,10 +523,10 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
                     .name("grid-worker-conn".into())
                     .spawn(move || reader_loop(shared, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
+            Err(e) => {
+                ppa_obs::warn!("grid.coord", "accept failed: {e}");
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
 }
@@ -522,7 +554,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
     };
     let wid;
     {
-        let mut state = shared.state.lock().unwrap();
+        let mut state = lock(&shared.state);
         if state.shutdown {
             let _ = stream.shutdown(Shutdown::Both);
             return;
@@ -564,7 +596,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
 
 /// Returns whether the connection should stay open.
 fn handle_worker_msg(shared: &Arc<Shared>, wid: u64, msg: Msg) -> bool {
-    let mut state = shared.state.lock().unwrap();
+    let mut state = lock(&shared.state);
     if let Some(w) = state.workers.get_mut(&wid) {
         w.last_seen = Instant::now();
     } else {
@@ -697,7 +729,7 @@ fn handle_worker_msg(shared: &Arc<Shared>, wid: u64, msg: Msg) -> bool {
 }
 
 fn worker_gone(shared: &Arc<Shared>, wid: u64) {
-    let mut state = shared.state.lock().unwrap();
+    let mut state = lock(&shared.state);
     let Some(w) = state.workers.remove(&wid) else {
         return;
     };
@@ -767,12 +799,14 @@ fn requeue_or_fail(shared: &Arc<Shared>, state: &mut State, uid: u64, message: S
                 message,
             }),
         );
-        shared.cv.notify_all();
     } else {
         ppa_obs::registry::counter("grid.coord.units.retried").inc();
         let delay = shared.cfg.retry_backoff * attempts.max(1);
         state.delayed.push((Instant::now() + delay, uid));
     }
+    // Either a waiter's slot filled or the dispatcher has a new retry
+    // deadline to sleep towards.
+    shared.cv.notify_all();
 }
 
 fn complete(state: &mut State, batch: u64, index: usize, result: Result<UnitOutcome, GridError>) {
@@ -785,154 +819,21 @@ fn complete(state: &mut State, batch: u64, index: usize, result: Result<UnitOutc
 }
 
 fn dispatch_loop(shared: Arc<Shared>) {
-    loop {
-        let mut outbox: Vec<(u64, TcpStream, Msg)> = Vec::new();
-        {
-            let mut state = shared.state.lock().unwrap();
-            if state.shutdown {
-                return;
-            }
-            let now = Instant::now();
-
-            // Backed-off units whose delay has elapsed become pending
-            // again, oldest first.
-            let mut due: Vec<u64> = Vec::new();
-            state.delayed.retain(|&(ready, uid)| {
-                if ready <= now {
-                    due.push(uid);
-                    false
-                } else {
-                    true
-                }
-            });
-            for uid in due {
-                // The unit may have been cancelled while backing off.
-                if let Some(priority) = state.units.get(&uid).map(|u| u.priority) {
-                    state.pending.insert(pending_key(priority, uid));
-                }
-            }
-
-            // Expired leases are re-dispatched elsewhere.
-            let expired: Vec<u64> = state
-                .leases
-                .iter()
-                .filter(|(_, l)| l.deadline <= now)
-                .map(|(&seq, _)| seq)
-                .collect();
-            for seq in expired {
-                if let Some(lease) = state.leases.remove(&seq) {
-                    if let Some(w) = state.workers.get_mut(&lease.worker) {
-                        w.outstanding.retain(|&s| s != seq);
-                    }
-                    state.stats.redispatched += 1;
-                    ppa_obs::registry::counter("grid.coord.lease.expired").inc();
-                    ppa_obs::registry::counter("grid.coord.units.redispatched").inc();
-                    ppa_obs::warn!(
-                        "grid.coord",
-                        "lease seq={seq} expired on worker {}; re-dispatching",
-                        lease.worker
-                    );
-                    requeue_or_fail(
-                        &shared,
-                        &mut state,
-                        lease.unit,
-                        "lease deadline expired".into(),
-                    );
-                }
-            }
-
-            // Workers that stopped heartbeating are dead; their leases
-            // move on. (An EOF on the connection catches most failures
-            // faster — this is the backstop for wedged-but-open pipes.)
-            let stale: Vec<u64> = state
-                .workers
-                .iter()
-                .filter(|(_, w)| now.duration_since(w.last_seen) > shared.cfg.heartbeat_timeout)
-                .map(|(&wid, _)| wid)
-                .collect();
-            for wid in stale {
-                if let Some(w) = state.workers.remove(&wid) {
-                    state.stats.workers_lost += 1;
-                    ppa_obs::registry::counter("grid.coord.worker.lost").inc();
-                    ppa_obs::registry::counter("grid.coord.worker.heartbeat_lost").inc();
-                    ppa_obs::registry::gauge("grid.coord.workers.live")
-                        .set(state.workers.len() as f64);
-                    ppa_obs::warn!(
-                        "grid.coord",
-                        "worker {wid} stopped heartbeating; declared dead"
-                    );
-                    let _ = w.stream.shutdown(Shutdown::Both);
-                    for seq in w.outstanding {
-                        if let Some(lease) = state.leases.remove(&seq) {
-                            state.stats.redispatched += 1;
-                            ppa_obs::registry::counter("grid.coord.units.redispatched").inc();
-                            requeue_or_fail(
-                                &shared,
-                                &mut state,
-                                lease.unit,
-                                "worker stopped heartbeating".into(),
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Lease pending units (highest priority first, FIFO within
-            // a band) to the least-loaded workers with spare capacity.
-            while let Some(&key) = state.pending.iter().next() {
-                let uid = key.1;
-                let avoid = state.units.get(&uid).and_then(|u| u.last_worker);
-                let target = state
-                    .workers
-                    .iter()
-                    .filter(|(_, w)| w.outstanding.len() < w.jobs)
-                    .min_by_key(|(&wid, w)| (Some(wid) == avoid, w.outstanding.len(), wid))
-                    .map(|(&wid, _)| wid);
-                let Some(wid) = target else { break };
-                state.pending.remove(&key);
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                let (tag, payload, attempt, trace_id) = {
-                    let u = state.units.get_mut(&uid).expect("pending unit exists");
-                    u.attempts += 1;
-                    u.last_worker = Some(wid);
-                    (
-                        u.spec.tag.clone(),
-                        u.spec.payload.clone(),
-                        u.attempts,
-                        u.trace_id,
-                    )
-                };
-                let dispatch_us = ppa_obs::span::now_us();
-                state.leases.insert(
-                    seq,
-                    LeaseState {
-                        unit: uid,
-                        worker: wid,
-                        deadline: now + shared.cfg.lease_timeout,
-                        dispatch_us,
-                    },
-                );
-                state.stats.dispatched += 1;
-                ppa_obs::registry::counter("grid.coord.units.dispatched").inc();
-                let w = state.workers.get_mut(&wid).expect("target worker exists");
-                w.outstanding.push(seq);
-                if let Ok(stream) = w.stream.try_clone() {
-                    outbox.push((
-                        wid,
-                        stream,
-                        Msg::Lease {
-                            seq,
-                            attempt,
-                            trace_id,
-                            dispatch_us,
-                            tag,
-                            payload,
-                        },
-                    ));
-                }
-            }
+    let mut state = lock(&shared.state);
+    while !state.shutdown {
+        let outbox = dispatch_pass(&shared, &mut state);
+        if outbox.is_empty() {
+            // Nothing to send: sleep until the next deadline or a
+            // notify. The pass ran under this same guard, so a submit,
+            // result or worker change landing after it notifies a
+            // waiting dispatcher and cannot be missed.
+            state = match next_deadline(&state, &shared.cfg) {
+                Some(deadline) => wait_until(&shared.cv, state, deadline),
+                None => wait(&shared.cv, state),
+            };
+            continue;
         }
+        drop(state);
 
         // Socket writes happen outside the state lock; a failed write
         // means the worker is gone and its leases re-queue.
@@ -945,14 +846,211 @@ fn dispatch_loop(shared: Arc<Shared>) {
         for wid in failed {
             worker_gone(&shared, wid);
         }
+        // Pass again before waiting: work that arrived during the
+        // writes found no dispatcher waiting to notify.
+        state = lock(&shared.state);
+    }
+}
 
-        let state = shared.state.lock().unwrap();
-        if state.shutdown {
-            return;
+/// The earliest instant the dispatcher must act without being
+/// notified: a backed-off unit falling due, a lease expiring, or a
+/// worker's heartbeat going stale. `None` when nothing is timed.
+fn next_deadline(state: &State, cfg: &GridConfig) -> Option<Instant> {
+    let retries = state.delayed.iter().map(|&(ready, _)| ready);
+    let leases = state.leases.values().map(|l| l.deadline);
+    let heartbeats = state
+        .workers
+        .values()
+        .filter_map(|w| w.last_seen.checked_add(cfg.heartbeat_timeout));
+    retries.chain(leases).chain(heartbeats).min()
+}
+
+/// One scheduling pass under the state lock: promotes due retries,
+/// expires leases, reaps silent workers, and leases pending units to
+/// workers with spare capacity. Returns the lease frames to send.
+fn dispatch_pass(shared: &Arc<Shared>, state: &mut State) -> Vec<(u64, TcpStream, Msg)> {
+    let mut outbox: Vec<(u64, TcpStream, Msg)> = Vec::new();
+    let now = Instant::now();
+
+    // Backed-off units whose delay has elapsed become pending
+    // again, oldest first.
+    let mut due: Vec<u64> = Vec::new();
+    state.delayed.retain(|&(ready, uid)| {
+        if ready <= now {
+            due.push(uid);
+            false
+        } else {
+            true
         }
-        let _ = shared
-            .cv
-            .wait_timeout(state, Duration::from_millis(25))
-            .unwrap();
+    });
+    for uid in due {
+        // The unit may have been cancelled while backing off.
+        if let Some(priority) = state.units.get(&uid).map(|u| u.priority) {
+            state.pending.insert(pending_key(priority, uid));
+        }
+    }
+
+    // Expired leases are re-dispatched elsewhere.
+    let expired: Vec<u64> = state
+        .leases
+        .iter()
+        .filter(|(_, l)| l.deadline <= now)
+        .map(|(&seq, _)| seq)
+        .collect();
+    for seq in expired {
+        if let Some(lease) = state.leases.remove(&seq) {
+            if let Some(w) = state.workers.get_mut(&lease.worker) {
+                w.outstanding.retain(|&s| s != seq);
+            }
+            state.stats.redispatched += 1;
+            ppa_obs::registry::counter("grid.coord.lease.expired").inc();
+            ppa_obs::registry::counter("grid.coord.units.redispatched").inc();
+            ppa_obs::warn!(
+                "grid.coord",
+                "lease seq={seq} expired on worker {}; re-dispatching",
+                lease.worker
+            );
+            requeue_or_fail(shared, state, lease.unit, "lease deadline expired".into());
+        }
+    }
+
+    // Workers that stopped heartbeating are dead; their leases
+    // move on. (An EOF on the connection catches most failures
+    // faster — this is the backstop for wedged-but-open pipes.)
+    let stale: Vec<u64> = state
+        .workers
+        .iter()
+        .filter(|(_, w)| now.duration_since(w.last_seen) >= shared.cfg.heartbeat_timeout)
+        .map(|(&wid, _)| wid)
+        .collect();
+    for wid in stale {
+        if let Some(w) = state.workers.remove(&wid) {
+            state.stats.workers_lost += 1;
+            ppa_obs::registry::counter("grid.coord.worker.lost").inc();
+            ppa_obs::registry::counter("grid.coord.worker.heartbeat_lost").inc();
+            ppa_obs::registry::gauge("grid.coord.workers.live").set(state.workers.len() as f64);
+            ppa_obs::warn!(
+                "grid.coord",
+                "worker {wid} stopped heartbeating; declared dead"
+            );
+            let _ = w.stream.shutdown(Shutdown::Both);
+            for seq in w.outstanding {
+                if let Some(lease) = state.leases.remove(&seq) {
+                    state.stats.redispatched += 1;
+                    ppa_obs::registry::counter("grid.coord.units.redispatched").inc();
+                    requeue_or_fail(
+                        shared,
+                        state,
+                        lease.unit,
+                        "worker stopped heartbeating".into(),
+                    );
+                }
+            }
+        }
+    }
+
+    // Lease pending units (highest priority first, FIFO within
+    // a band) to the least-loaded workers with spare capacity.
+    while let Some(&key) = state.pending.iter().next() {
+        let uid = key.1;
+        let avoid = state.units.get(&uid).and_then(|u| u.last_worker);
+        let target = state
+            .workers
+            .iter()
+            .filter(|(_, w)| w.outstanding.len() < w.jobs)
+            .min_by_key(|(&wid, w)| (Some(wid) == avoid, w.outstanding.len(), wid))
+            .map(|(&wid, _)| wid);
+        let Some(wid) = target else { break };
+        state.pending.remove(&key);
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        let (tag, payload, attempt, trace_id) = {
+            let u = state.units.get_mut(&uid).expect("pending unit exists");
+            u.attempts += 1;
+            u.last_worker = Some(wid);
+            (
+                u.spec.tag.clone(),
+                u.spec.payload.clone(),
+                u.attempts,
+                u.trace_id,
+            )
+        };
+        let dispatch_us = ppa_obs::span::now_us();
+        state.leases.insert(
+            seq,
+            LeaseState {
+                unit: uid,
+                worker: wid,
+                deadline: now + shared.cfg.lease_timeout,
+                dispatch_us,
+            },
+        );
+        state.stats.dispatched += 1;
+        ppa_obs::registry::counter("grid.coord.units.dispatched").inc();
+        let w = state.workers.get_mut(&wid).expect("target worker exists");
+        w.outstanding.push(seq);
+        if let Ok(stream) = w.stream.try_clone() {
+            outbox.push((
+                wid,
+                stream,
+                Msg::Lease {
+                    seq,
+                    attempt,
+                    trace_id,
+                    dispatch_us,
+                    tag,
+                    payload,
+                },
+            ));
+        }
+    }
+    outbox
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loopback;
+    use crate::worker::Executor;
+
+    struct Echo;
+
+    impl Executor for Echo {
+        fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+            Ok([tag.as_bytes(), payload].concat())
+        }
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_does_not_stop_the_coordinator() {
+        let lb = loopback::start_uniform(2, 1, Arc::new(Echo), GridConfig::default())
+            .expect("loopback grid starts");
+        let coord = Arc::clone(lb.coordinator());
+        let poisoner = Arc::clone(&coord);
+        let _ = std::thread::spawn(move || {
+            let _state = poisoner.shared.state.lock().unwrap();
+            panic!("a panic while holding the coordinator's state lock");
+        })
+        .join();
+        assert!(coord.shared.state.is_poisoned());
+
+        let units: Vec<UnitSpec> = (0..24u8)
+            .map(|i| UnitSpec {
+                tag: format!("u{i}:"),
+                payload: vec![i],
+            })
+            .collect();
+        let results = coord.run_units(units.clone());
+        assert_eq!(results.len(), units.len());
+        for (unit, result) in units.iter().zip(results) {
+            let outcome = result.expect("every unit completes after the poisoning");
+            assert_eq!(
+                outcome.payload,
+                [unit.tag.as_bytes(), &unit.payload].concat()
+            );
+        }
+        assert_eq!(coord.stats().completed, 24);
+        drop(coord);
+        lb.shutdown();
     }
 }

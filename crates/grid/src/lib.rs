@@ -21,6 +21,9 @@
 //!   the robustness tests.
 //! * [`loopback`] — coordinator + N in-process workers over
 //!   `127.0.0.1`, the self-test mode `ci.sh` smokes.
+//! * [`sync`] — poison-proof lock and condvar waits, shared with
+//!   `ppa-serve`, so a panicking thread cannot wedge a long-lived
+//!   process.
 //!
 //! The unit vocabulary (tags and payload layouts) belongs to the
 //! callers, one unit kind per harness: `ppa-bench` serializes per-app
@@ -37,6 +40,7 @@
 pub mod coord;
 pub mod loopback;
 pub mod proto;
+pub mod sync;
 pub mod worker;
 
 pub use coord::{

@@ -16,9 +16,11 @@
 
 use crate::coord::UnitSpec;
 use crate::proto::{self, Msg, ProtoError};
+use crate::sync::lock;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -118,41 +120,35 @@ pub fn run_worker(
         stream.try_clone().map_err(|e| ProtoError::Io(e.kind()))?,
     ));
     proto::write_msg(
-        &mut *writer.lock().unwrap(),
+        &mut *lock(&writer),
         &Msg::Hello {
             jobs: opts.jobs.max(1) as u32,
         },
     )?;
 
-    let stop = Arc::new(AtomicBool::new(false));
+    // Dropping `stop` ends the heartbeat thread's wait at once.
+    let (stop, stopped) = mpsc::channel::<()>();
     // Telemetry the heartbeat beacons to the coordinator: units leased
     // but not yet answered, and units executed to a successful result.
     let inflight = Arc::new(AtomicU32::new(0));
     let executed = Arc::new(AtomicU64::new(0));
     let heartbeat_thread = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
         let inflight = Arc::clone(&inflight);
         let executed = Arc::clone(&executed);
         let interval = opts.heartbeat;
         std::thread::Builder::new()
             .name("grid-heartbeat".into())
             .spawn(move || {
-                let mut last = Instant::now();
-                while !stop.load(Ordering::SeqCst) {
-                    if last.elapsed() >= interval {
-                        let beat = Msg::Heartbeat {
-                            inflight: inflight.load(Ordering::SeqCst),
-                            executed: executed.load(Ordering::SeqCst),
-                            clock_us: ppa_obs::span::now_us(),
-                        };
-                        let ok = proto::write_msg(&mut *writer.lock().unwrap(), &beat);
-                        if ok.is_err() {
-                            return;
-                        }
-                        last = Instant::now();
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    let beat = Msg::Heartbeat {
+                        inflight: inflight.load(Ordering::SeqCst),
+                        executed: executed.load(Ordering::SeqCst),
+                        clock_us: ppa_obs::span::now_us(),
+                    };
+                    if proto::write_msg(&mut *lock(&writer), &beat).is_err() {
+                        return;
                     }
-                    std::thread::sleep(Duration::from_millis(25));
                 }
             })
             .expect("spawning the worker heartbeat thread")
@@ -251,7 +247,7 @@ pub fn run_worker(
                             }
                         };
                         inflight.fetch_sub(1, Ordering::SeqCst);
-                        let _ = proto::write_msg(&mut *writer.lock().unwrap(), &msg);
+                        let _ = proto::write_msg(&mut *lock(&writer), &msg);
                     });
                 }
                 Ok(Msg::Shutdown) => break,
@@ -260,7 +256,7 @@ pub fn run_worker(
             }
         }
     });
-    stop.store(true, Ordering::SeqCst);
+    drop(stop);
     let _ = heartbeat_thread.join();
     let _ = stream.shutdown(Shutdown::Both);
     Ok(WorkerReport {

@@ -1,13 +1,13 @@
 //! End-to-end tests of the coordinator/worker stack over loopback TCP:
 //! ordering, mid-lease worker death, retry exhaustion, executor panics,
-//! and lease-timeout re-dispatch.
+//! lease-timeout re-dispatch, lost wake-ups and prompt shutdown.
 
-use ppa_grid::coord::{GridConfig, GridError, UnitSpec};
+use ppa_grid::coord::{Coordinator, GridConfig, GridError, UnitSpec};
 use ppa_grid::loopback;
 use ppa_grid::worker::{Executor, WorkerOptions};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Echoes the payload back with the tag prepended.
 struct EchoExecutor;
@@ -252,4 +252,46 @@ fn loopback_run_populates_coordinator_metrics() {
         panic!("unit latency summary missing");
     };
     assert!(elapsed.count() >= 12, "got {}", elapsed.count());
+}
+
+/// The dispatcher sleeps until its next deadline, and with the default
+/// config the nearest one is a heartbeat 15 s out. A submit or result
+/// whose notify were lost would stall its unit until then, so 200
+/// back-to-back single-unit batches finishing well inside 10 s means
+/// none was.
+#[test]
+fn sequential_single_unit_batches_never_wait_for_a_deadline() {
+    let lb = loopback::start_uniform(1, 1, Arc::new(EchoExecutor), GridConfig::default())
+        .expect("loopback grid starts");
+    let t0 = Instant::now();
+    for (i, unit) in units(200).into_iter().enumerate() {
+        let results = lb.run_units(vec![unit.clone()]);
+        let payload = &results[0].as_ref().expect("echo units succeed").payload;
+        assert!(payload.starts_with(unit.tag.as_bytes()));
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(10),
+            "{} single-unit batches took {took:?}",
+            i + 1
+        );
+    }
+    lb.shutdown();
+}
+
+/// The accept loop blocks in `accept`; shutdown wakes it by connecting
+/// to the coordinator's own address, loopback in place of `0.0.0.0`.
+/// Dropping a coordinator joins that thread, so a wake that never
+/// arrives would hang here.
+#[test]
+fn dropping_a_coordinator_returns_promptly() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let coord = Coordinator::bind(addr, GridConfig::default()).expect("bind");
+        let t0 = Instant::now();
+        drop(coord);
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(5),
+            "dropping {addr} took {took:?}"
+        );
+    }
 }

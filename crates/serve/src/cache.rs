@@ -16,6 +16,7 @@
 //! evicted (lookups refresh recency). Eviction only ever costs a future
 //! re-simulation, never correctness.
 
+use ppa_grid::sync::lock;
 use ppa_grid::UnitSpec;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,7 +128,7 @@ impl ResultCache {
     /// refreshes the entry's recency.
     pub fn lookup(&self, spec: &UnitSpec) -> Option<Vec<u8>> {
         let key = unit_key(&spec.tag, &spec.payload);
-        let mut store = self.store.lock().unwrap();
+        let mut store = lock(&self.store);
         match store.map.get(&key) {
             Some(s) if s.entry.tag == spec.tag && s.entry.request == spec.payload => {
                 let result = s.entry.result.clone();
@@ -157,7 +158,7 @@ impl ResultCache {
 
     fn admit(&self, entry: CacheEntry) {
         let key = unit_key(&entry.tag, &entry.request);
-        let mut store = self.store.lock().unwrap();
+        let mut store = lock(&self.store);
         if !store.map.contains_key(&key) {
             store.bytes += entry.bytes();
             let stamp = store.next_stamp;
@@ -196,7 +197,7 @@ impl ResultCache {
     }
 
     pub fn len(&self) -> usize {
-        self.store.lock().unwrap().map.len()
+        lock(&self.store).map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -205,7 +206,7 @@ impl ResultCache {
 
     /// Total tag + request + result bytes currently resident.
     pub fn bytes(&self) -> u64 {
-        self.store.lock().unwrap().bytes
+        lock(&self.store).bytes
     }
 
     /// (hits, misses) since start.
@@ -223,7 +224,7 @@ impl ResultCache {
 
     /// All entries in key order — the checkpoint's cache section.
     pub fn export(&self) -> Vec<CacheEntry> {
-        let store = self.store.lock().unwrap();
+        let store = lock(&self.store);
         let mut keys: Vec<&u64> = store.map.keys().collect();
         keys.sort();
         keys.iter().map(|k| store.map[k].entry.clone()).collect()

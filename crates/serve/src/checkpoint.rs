@@ -208,4 +208,38 @@ mod tests {
         assert_eq!(back.pending, sample().pending);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// A daemon killed mid-`save` leaves its tmp file behind, truncated
+    /// or garbage, next to the last complete checkpoint.
+    #[test]
+    fn a_write_killed_mid_save_leaves_the_previous_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("ppsc-kill-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.ppsc");
+        let tmp = dir.join("state.tmp");
+        sample().save(&path).unwrap();
+        let newer = Checkpoint {
+            cache: Vec::new(),
+            pending: vec![PendingSubmission {
+                client: 8,
+                submission: 2,
+                priority: 1,
+                units: Vec::new(),
+            }],
+        };
+        let image = newer.encode();
+        for junk in [&image[..image.len() / 2], b"garbage"] {
+            std::fs::write(&tmp, junk).unwrap();
+            let back = Checkpoint::load(&path).unwrap().unwrap();
+            assert_eq!(back.cache, sample().cache);
+            assert_eq!(back.pending, sample().pending);
+        }
+        // The next save overwrites the stale tmp file and lands.
+        newer.save(&path).unwrap();
+        assert!(!tmp.exists(), "the rename consumed the tmp file");
+        let back = Checkpoint::load(&path).unwrap().unwrap();
+        assert_eq!(back.pending, newer.pending);
+        assert!(back.cache.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -19,12 +19,14 @@ use crate::cache::{CacheLimits, ResultCache};
 use crate::checkpoint::{Checkpoint, PendingSubmission};
 use ppa_grid::coord::{ConnDispatch, Coordinator, GridConfig};
 use ppa_grid::proto::{self, Msg, QUERY_STATS, QUERY_STOP, RESULT_NO_SUCH_SUBMISSION};
+use ppa_grid::sync::{lock, wait, wait_until};
 use ppa_grid::UnitSpec;
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::time::{Duration, Instant};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -88,11 +90,11 @@ struct SubmissionState {
 
 impl SubmissionState {
     fn is_complete(&self) -> bool {
-        self.inner.lock().unwrap().remaining == 0
+        lock(&self.inner).remaining == 0
     }
 
     fn fill(&self, index: usize, result: SlotResult) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.slots[index].is_none() {
             inner.slots[index] = Some(result);
             inner.remaining -= 1;
@@ -101,8 +103,13 @@ impl SubmissionState {
     }
 
     /// Blocks until slot `index` is filled; `None` once `stopped`.
+    /// `stopped` is checked under the slot lock, and
+    /// [`Inner::request_stop`] takes that lock to notify, so a stop
+    /// cannot slip in between the check and the wait. `stopped` must
+    /// not take the daemon's state lock: `persist` and `retire` take
+    /// slot locks while holding it.
     fn wait_slot(&self, index: usize, stopped: &dyn Fn() -> bool) -> Option<SlotResult> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(r) = &inner.slots[index] {
                 return Some(r.clone());
@@ -110,12 +117,14 @@ impl SubmissionState {
             if stopped() {
                 return None;
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(inner, Duration::from_millis(100))
-                .unwrap();
-            inner = guard;
+            inner = wait(&self.cv, inner);
         }
+    }
+
+    /// Wakes every [`SubmissionState::wait_slot`] caller to re-check.
+    fn wake(&self) {
+        let _inner = lock(&self.inner);
+        self.cv.notify_all();
     }
 }
 
@@ -123,24 +132,30 @@ struct DaemonState {
     submissions: HashMap<(u64, u64), Arc<SubmissionState>>,
     clients: u64,
     submissions_total: u64,
-    stop: bool,
 }
 
 struct Inner {
     coord: Coordinator,
     cache: ResultCache,
     state: Mutex<DaemonState>,
+    /// Set once, under the `state` lock so that waits on `cv` see it;
+    /// read without that lock by [`SubmissionState::wait_slot`].
+    stop: AtomicBool,
     cv: Condvar,
     opts: DaemonOptions,
 }
 
-/// The [`ConnDispatch`] hook installed on the coordinator; holds the
-/// `Arc` the session loop and collector threads clone from.
-struct Dispatch(Arc<Inner>);
+/// The [`ConnDispatch`] hook installed on the coordinator. It holds the
+/// daemon weakly: `Inner` owns the coordinator, which owns this hook,
+/// so a strong reference would keep both (and the coordinator's
+/// threads) alive after the daemon is dropped.
+struct Dispatch(Weak<Inner>);
 
 impl ConnDispatch for Dispatch {
     fn handle(&self, first: Msg, stream: TcpStream) {
-        session(&self.0, first, stream);
+        if let Some(inner) = self.0.upgrade() {
+            session(&inner, first, stream);
+        }
     }
 }
 
@@ -180,8 +195,8 @@ impl Daemon {
                 submissions: HashMap::new(),
                 clients: 0,
                 submissions_total: 0,
-                stop: false,
             }),
+            stop: AtomicBool::new(false),
             cv: Condvar::new(),
             opts,
         });
@@ -212,7 +227,7 @@ impl Daemon {
 
         inner
             .coord
-            .set_dispatch(Arc::new(Dispatch(Arc::clone(&inner))));
+            .set_dispatch(Arc::new(Dispatch(Arc::downgrade(&inner))));
 
         // Cadence thread: gauges, checkpoint, metrics export.
         let ticker = {
@@ -220,16 +235,15 @@ impl Daemon {
             std::thread::Builder::new()
                 .name("serve-ticker".into())
                 .spawn(move || loop {
-                    {
-                        let state = inner.state.lock().unwrap();
-                        if state.stop {
-                            return;
-                        }
-                        let _ = inner
-                            .cv
-                            .wait_timeout(state, inner.opts.checkpoint_interval)
-                            .unwrap();
+                    let tick = Instant::now() + inner.opts.checkpoint_interval;
+                    let mut state = lock(&inner.state);
+                    while !inner.stopped() && Instant::now() < tick {
+                        state = wait_until(&inner.cv, state, tick);
                     }
+                    if inner.stopped() {
+                        return;
+                    }
+                    drop(state);
                     inner.publish_gauges();
                     inner.persist();
                 })
@@ -248,9 +262,9 @@ impl Daemon {
 
     /// Blocks until stop is requested, then checkpoints and shuts down.
     pub fn run(&self) {
-        let mut state = self.inner.state.lock().unwrap();
-        while !state.stop {
-            state = self.inner.cv.wait(state).unwrap();
+        let mut state = lock(&self.inner.state);
+        while !self.inner.stopped() {
+            state = wait(&self.inner.cv, state);
         }
         drop(state);
         self.inner.publish_gauges();
@@ -275,20 +289,30 @@ impl Drop for Daemon {
 
 impl Inner {
     fn stopped(&self) -> bool {
-        self.state.lock().unwrap().stop
+        self.stop.load(Ordering::SeqCst)
     }
 
+    /// Sets the stop flag, then wakes [`Daemon::run`], the ticker and
+    /// every session streaming a submission's results.
     fn request_stop(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.stop = true;
-        self.cv.notify_all();
+        let live: Vec<Arc<SubmissionState>> = {
+            let state = lock(&self.state);
+            self.stop.store(true, Ordering::SeqCst);
+            self.cv.notify_all();
+            state.submissions.values().cloned().collect()
+        };
+        // Outside the state lock: `wait_slot` holds a slot lock while
+        // it takes the state lock to read the flag.
+        for sub in live {
+            sub.wake();
+        }
     }
 
     fn publish_gauges(&self) {
         let (queued, inflight) = self.coord.queue_depth();
         ppa_obs::registry::gauge("serve.queue.depth").set(queued as f64);
         ppa_obs::registry::gauge("serve.queue.inflight").set(inflight as f64);
-        let state = self.state.lock().unwrap();
+        let state = lock(&self.state);
         ppa_obs::registry::gauge("serve.clients.connected").set(state.clients as f64);
     }
 
@@ -296,7 +320,7 @@ impl Inner {
     fn persist(&self) {
         if let Some(path) = &self.opts.checkpoint {
             let pending: Vec<PendingSubmission> = {
-                let state = self.state.lock().unwrap();
+                let state = lock(&self.state);
                 state
                     .submissions
                     .values()
@@ -325,19 +349,14 @@ impl Inner {
     }
 
     fn lookup_submission(&self, client: u64, id: u64) -> Option<Arc<SubmissionState>> {
-        self.state
-            .lock()
-            .unwrap()
-            .submissions
-            .get(&(client, id))
-            .cloned()
+        lock(&self.state).submissions.get(&(client, id)).cloned()
     }
 
     /// Drops a fully-delivered submission: its results live on in the
     /// cache, so a late re-subscribe degrades to a re-submit that
     /// completes instantly.
     fn retire(&self, client: u64, id: u64) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = lock(&self.state);
         if let Some(sub) = state.submissions.get(&(client, id)) {
             if sub.is_complete() {
                 state.submissions.remove(&(client, id));
@@ -375,7 +394,7 @@ impl Inner {
         let (hits, misses) = self.cache.counters();
         let (queued, inflight) = self.coord.queue_depth();
         let worker_detail = self.coord.worker_loads();
-        let state = self.state.lock().unwrap();
+        let state = lock(&self.state);
         Msg::CacheStats {
             hits,
             misses,
@@ -404,7 +423,7 @@ fn ensure_submission(
     units: Vec<UnitSpec>,
 ) -> Arc<SubmissionState> {
     {
-        let state = inner.state.lock().unwrap();
+        let state = lock(&inner.state);
         if let Some(sub) = state.submissions.get(&(client, id)) {
             return Arc::clone(sub);
         }
@@ -423,7 +442,7 @@ fn ensure_submission(
         cv: Condvar::new(),
     });
     {
-        let mut state = inner.state.lock().unwrap();
+        let mut state = lock(&inner.state);
         // A racing session may have registered it meanwhile.
         if let Some(existing) = state.submissions.get(&(client, id)) {
             return Arc::clone(existing);
@@ -503,7 +522,7 @@ fn session(inner: &Arc<Inner>, first: Msg, mut stream: TcpStream) {
     // timeout does not apply to them.
     let _ = stream.set_read_timeout(None);
     {
-        let mut state = inner.state.lock().unwrap();
+        let mut state = lock(&inner.state);
         state.clients += 1;
         ppa_obs::registry::counter("serve.clients.sessions").inc();
         ppa_obs::registry::gauge("serve.clients.connected").set(state.clients as f64);
@@ -584,7 +603,23 @@ fn session(inner: &Arc<Inner>, first: Msg, mut stream: TcpStream) {
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
-    let mut state = inner.state.lock().unwrap();
+    let mut state = lock(&inner.state);
     state.clients -= 1;
     ppa_obs::registry::gauge("serve.clients.connected").set(state.clients as f64);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dropping_a_daemon_frees_its_state_and_coordinator() {
+        let daemon = Daemon::start(DaemonOptions::default()).expect("daemon starts");
+        let inner = Arc::downgrade(&daemon.inner);
+        drop(daemon);
+        assert!(
+            inner.upgrade().is_none(),
+            "the daemon's state outlived it (a reference cycle through the coordinator)"
+        );
+    }
 }

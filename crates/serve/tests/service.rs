@@ -1,5 +1,6 @@
 //! End-to-end service tests: an in-process daemon round trip with
-//! cache hits, two concurrent clients, and the crash-injection test —
+//! cache hits, two concurrent clients, a panicking unit next to a
+//! concurrent client, and the crash-injection test —
 //! SIGKILL the daemon process mid-queue, restart it on the same port
 //! and checkpoint, and require the client to receive byte-identical,
 //! submission-ordered results with the pre-crash prefix served from
@@ -41,6 +42,9 @@ impl Executor for SlowEcho {
         }
         if tag.starts_with("t.fail:") {
             return Err(format!("unit '{tag}' always fails"));
+        }
+        if tag.starts_with("t.panic:") {
+            panic!("unit '{tag}' always panics");
         }
         Ok(transform(tag, payload))
     }
@@ -177,6 +181,82 @@ fn concurrent_clients_share_the_daemon_and_its_cache() {
         "shared cache, one entry per unit"
     );
     client.stop().expect("stop");
+    run_thread.join().unwrap();
+    done.store(true, Ordering::SeqCst);
+    worker.join().unwrap();
+}
+
+#[test]
+fn a_panicking_unit_yields_one_error_row_and_spares_a_concurrent_client() {
+    let daemon = Arc::new(Daemon::start(DaemonOptions::default()).expect("daemon starts"));
+    let addr = daemon.local_addr().to_string();
+    let run_thread = {
+        let d = Arc::clone(&daemon);
+        thread::spawn(move || d.run())
+    };
+    let done = Arc::new(AtomicBool::new(false));
+    let worker = worker_loop(addr.clone(), Duration::from_millis(1), Arc::clone(&done));
+
+    // Client A's batch has one panicking unit in the middle; client B
+    // submits a clean batch at the same time.
+    let mut mixed = units(8);
+    mixed[3] = UnitSpec {
+        tag: "t.panic:3".into(),
+        payload: vec![3],
+    };
+    let clean: Vec<UnitSpec> = (0..10)
+        .map(|i| UnitSpec {
+            tag: format!("t.other:{i}"),
+            payload: vec![i as u8; 5],
+        })
+        .collect();
+    let submit = |batch: Vec<UnitSpec>| {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            ServeClient::connect(&addr)
+                .expect("client connects")
+                .run_units(batch)
+        })
+    };
+    let a = submit(mixed.clone());
+    let b = submit(clean.clone());
+    let (a, b) = (a.join().unwrap(), b.join().unwrap());
+
+    assert_eq!(a.len(), mixed.len());
+    for (i, (u, res)) in mixed.iter().zip(&a).enumerate() {
+        if i == 3 {
+            let err = res
+                .as_ref()
+                .expect_err("the panicking unit reports an error");
+            let text = err.to_string();
+            assert!(
+                text.contains("t.panic:3"),
+                "error row names the unit: {text}"
+            );
+            assert!(text.contains("panicked"), "{text}");
+        } else {
+            let out = res.as_ref().expect("every other unit succeeds");
+            assert_eq!(out.payload, transform(&u.tag, &u.payload), "{}", u.tag);
+        }
+    }
+    let local: Vec<Vec<u8>> = clean
+        .iter()
+        .map(|u| {
+            SlowEcho(Duration::ZERO)
+                .execute(&u.tag, &u.payload)
+                .unwrap()
+        })
+        .collect();
+    let remote: Vec<Vec<u8>> = b
+        .into_iter()
+        .map(|r| r.expect("the concurrent client's units succeed").payload)
+        .collect();
+    assert_eq!(remote, local, "the concurrent client matches a local run");
+
+    ServeClient::connect(&addr)
+        .expect("client connects")
+        .stop()
+        .expect("stop");
     run_thread.join().unwrap();
     done.store(true, Ordering::SeqCst);
     worker.join().unwrap();

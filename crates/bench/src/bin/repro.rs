@@ -21,7 +21,7 @@
 //! `--metrics-json` / `--trace-out` files — goes to stderr or to the
 //! named files so stdout stays deterministic.
 
-use ppa_bench::{experiments, gridwork, sentinel};
+use ppa_bench::{experiments, gridwork};
 use ppa_stats::fmt_duration;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,7 +29,6 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!("usage: repro [OPTIONS] <experiment>... | all | list");
-    eprintln!("       repro bench compare [OPTIONS] [<experiment>... | all]");
     eprintln!();
     eprintln!("options:");
     eprintln!("  --jobs N            worker threads for per-app fan-out (0 = auto,");
@@ -47,16 +46,6 @@ fn usage() -> ! {
     eprintln!("  --prof-out FILE     write collapsed (flamegraph) stacks derived");
     eprintln!("                      from prof.*; implies --profile");
     eprintln!();
-    eprintln!("bench compare options (perf-regression sentinel):");
-    eprintln!("  --runs N            fresh timing runs per experiment (default 3;");
-    eprintln!("                      the minimum is compared)");
-    eprintln!("  --threshold F       base relative tolerance before noise widening");
-    eprintln!("                      (default 0.25)");
-    eprintln!("  --baseline FILE     baseline metrics (default results/bench_baseline.json)");
-    eprintln!("  --history FILE      history JSONL to append to (default");
-    eprintln!("                      results/bench_history.jsonl; --no-history skips)");
-    eprintln!("  PPA_BENCH_STRICT=1  exit nonzero on regression (default: warn only)");
-    eprintln!();
     eprintln!("environment:");
     eprintln!("  PPA_JOBS=N        same as --jobs (the flag wins)");
     eprintln!("  PPA_GRID=MODE     same as --grid (the flag wins)");
@@ -73,99 +62,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// `repro bench compare ...`: the perf-regression sentinel. Returns the
-/// process exit code.
-fn bench_cli(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("compare") => {}
-        _ => usage(),
-    }
-    let mut cfg = sentinel::SentinelConfig::default();
-    let mut ids: Vec<String> = Vec::new();
-    let mut args = args[1..].iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--runs" => {
-                cfg.runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--threshold" => {
-                cfg.threshold = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--baseline" => cfg.baseline = PathBuf::from(args.next().unwrap_or_else(|| usage())),
-            "--history" => {
-                cfg.history = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
-            }
-            "--no-history" => cfg.history = None,
-            "--jobs" | "-j" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| usage());
-                ppa_pool::set_jobs(n);
-            }
-            "--help" | "-h" => usage(),
-            _ => ids.push(arg.clone()),
-        }
-    }
-    let registry = experiments::all_experiments();
-    let selected: Vec<(&'static str, experiments::Experiment)> =
-        if ids.is_empty() || ids.iter().any(|id| id == "all") {
-            registry
-        } else {
-            ids.iter()
-                .map(|id| {
-                    registry
-                        .iter()
-                        .find(|(n, _)| n == id)
-                        .copied()
-                        .unwrap_or_else(|| usage())
-                })
-                .collect()
-        };
-    let report = match sentinel::compare(&selected, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro bench: {e}");
-            return 1;
-        }
-    };
-    println!(
-        "bench compare: {} experiment(s), min of {} run(s), threshold {:.0}% + noise",
-        report.verdicts.len(),
-        report.runs,
-        report.threshold * 100.0
-    );
-    for v in &report.verdicts {
-        let ratio = v.ratio.map_or("     -".to_string(), |r| format!("{r:6.3}"));
-        println!(
-            "  {:<12} {:>12} ns  baseline {:>12}  ratio {ratio}  noise {:>5.1}%  {}",
-            v.id,
-            v.fresh_min_ns,
-            v.baseline_ns.map_or("-".to_string(), |b| b.to_string()),
-            v.noise * 100.0,
-            v.label(),
-        );
-    }
-    if report.has_regression() {
-        if cfg.strict {
-            eprintln!("repro bench: performance regression (strict mode)");
-            return 1;
-        }
-        eprintln!(
-            "repro bench: performance regression (warning only; set PPA_BENCH_STRICT=1 to fail)"
-        );
-    }
-    0
-}
-
 fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut grid_flag: Option<String> = None;
@@ -174,13 +70,7 @@ fn main() {
     let mut trace_out: Option<PathBuf> = None;
     let mut profile = false;
     let mut prof_out: Option<PathBuf> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    // `bench` is a subcommand, carved out before experiment-id
-    // resolution so it can never collide with an experiment name.
-    if argv.first().map(String::as_str) == Some("bench") {
-        std::process::exit(bench_cli(&argv[1..]));
-    }
-    let mut args = argv.into_iter();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--jobs" | "-j" => {

@@ -14,7 +14,6 @@
 pub mod experiments;
 pub mod gridwork;
 pub mod harness;
-pub mod sentinel;
 
 /// Default per-trace micro-op count for single-threaded applications.
 pub const DEFAULT_LEN: usize = 40_000;

@@ -13,6 +13,7 @@
 
 use ppa_dse::gridwork::{DseKind, GridEval, LocalEval};
 use ppa_dse::{explore, ExploreParams, ExploreResult, FreezeReason, Space};
+use ppa_obs::log::verbosity_flag;
 use std::sync::Arc;
 
 struct Options {
@@ -57,17 +58,6 @@ fn usage() -> ! {
     eprintln!("                        its connection after N units (testing)");
     eprintln!("  PPA_LOG=LEVEL         stderr log level: error|warn|info|debug");
     std::process::exit(2);
-}
-
-fn verbosity_flag(a: &str) -> bool {
-    let level = match a {
-        "-q" | "--quiet" => ppa_obs::Level::Error,
-        "-v" | "--verbose" => ppa_obs::Level::Info,
-        "-vv" => ppa_obs::Level::Debug,
-        _ => return false,
-    };
-    ppa_obs::log::set_level(level);
-    true
 }
 
 fn parse_args() -> Options {
@@ -331,6 +321,7 @@ fn main() {
         ppa_pool::export_metrics();
         if let Err(e) = ppa_obs::snapshot().write_json_file(path, *merge) {
             ppa_obs::error!("dse", "failed to write {}: {e}", path.display());
+            std::process::exit(1);
         }
     }
     std::process::exit(if ok { 0 } else { 1 });

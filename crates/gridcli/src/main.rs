@@ -23,6 +23,7 @@
 use ppa_grid::coord::GridConfig;
 use ppa_grid::loopback;
 use ppa_grid::worker::{run_worker, Executor, Registry, WorkerOptions};
+use ppa_obs::log::verbosity_flag;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -54,18 +55,6 @@ fn usage() -> ! {
     eprintln!("      default prints warnings only. PPA_LOG=LEVEL is equivalent");
     eprintln!("      (the flag wins).");
     std::process::exit(2)
-}
-
-/// Consumes a `-q`/`-v`/`-vv` verbosity flag if `a` is one.
-fn verbosity_flag(a: &str) -> bool {
-    let level = match a {
-        "-q" | "--quiet" => ppa_obs::Level::Error,
-        "-v" | "--verbose" => ppa_obs::Level::Info,
-        "-vv" => ppa_obs::Level::Debug,
-        _ => return false,
-    };
-    ppa_obs::log::set_level(level);
-    true
 }
 
 fn cmd_work(args: &[String]) -> ExitCode {

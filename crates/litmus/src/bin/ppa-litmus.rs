@@ -176,8 +176,10 @@ fn main() {
     };
 
     if let Some((path, merge)) = &opts.metrics_json {
+        ppa_pool::export_metrics();
         if let Err(e) = ppa_obs::snapshot().write_json_file(path, *merge) {
             eprintln!("ppa-litmus: failed to write {}: {e}", path.display());
+            std::process::exit(1);
         }
     }
     std::process::exit(if ok { 0 } else { 1 });

@@ -15,9 +15,9 @@
 //!
 //! The reader exists solely so a second tool can *merge* its metrics
 //! into a file the first one wrote (`ppa-verify check
-//! --metrics-json-merge results/bench_baseline.json`); it accepts
-//! exactly the flat subset the writer emits, rejecting anything nested
-//! with a typed error rather than guessing.
+//! --metrics-json-merge m.json` after `repro --metrics-json m.json`);
+//! it accepts exactly the flat subset the writer emits, rejecting
+//! anything nested with a typed error rather than guessing.
 
 use std::collections::BTreeMap;
 use std::fmt;

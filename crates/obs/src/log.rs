@@ -81,6 +81,20 @@ pub fn set_level(l: Level) {
     LEVEL.store(l as u8, Ordering::Relaxed);
 }
 
+/// Applies a CLI verbosity flag if `a` is one: `-q`/`--quiet` sets
+/// [`Level::Error`], `-v`/`--verbose` [`Level::Info`] and `-vv`
+/// [`Level::Debug`]. Returns whether `a` was consumed.
+pub fn verbosity_flag(a: &str) -> bool {
+    let level = match a {
+        "-q" | "--quiet" => Level::Error,
+        "-v" | "--verbose" => Level::Info,
+        "-vv" => Level::Debug,
+        _ => return false,
+    };
+    set_level(level);
+    true
+}
+
 /// Whether messages at `l` currently print.
 pub fn enabled(l: Level) -> bool {
     l <= level()

@@ -272,8 +272,8 @@ impl Snapshot {
     /// Writes [`Snapshot::to_json`] to `path`. With `merge`, keys
     /// already present in an existing flat-JSON file at `path` are
     /// preserved unless this snapshot overwrites them — this is how
-    /// `ppa-verify check --metrics-json-merge` folds its metrics into
-    /// the `results/bench_baseline.json` that `repro` wrote.
+    /// `ppa-verify check --metrics-json-merge` folds its metrics into a
+    /// file `repro --metrics-json` wrote.
     pub fn write_json_file(&self, path: &Path, merge: bool) -> io::Result<()> {
         let mut merged: BTreeMap<String, json::Number> = BTreeMap::new();
         if merge {

@@ -18,6 +18,7 @@
 //! The daemon prints nothing on stdout; telemetry goes to stderr and
 //! `--metrics-json`.
 
+use ppa_obs::log::verbosity_flag;
 use ppa_serve::{Daemon, DaemonOptions, ServeClient};
 use std::io::Write;
 use std::process::ExitCode;
@@ -54,17 +55,6 @@ fn usage() -> ! {
     eprintln!("  verbosity: -q (errors only), -v (info), -vv (debug);");
     eprintln!("      PPA_LOG=LEVEL is equivalent (the flag wins).");
     std::process::exit(2)
-}
-
-fn verbosity_flag(a: &str) -> bool {
-    let level = match a {
-        "-q" | "--quiet" => ppa_obs::Level::Error,
-        "-v" | "--verbose" => ppa_obs::Level::Info,
-        "-vv" => ppa_obs::Level::Debug,
-        _ => return false,
-    };
-    ppa_obs::log::set_level(level);
-    true
 }
 
 fn cmd_daemon(args: &[String]) -> ExitCode {

@@ -38,9 +38,8 @@ struct Options {
     /// human-readable table.
     json: bool,
     /// Write a flat metrics-JSON snapshot here on exit; `merge` folds
-    /// into an existing file (how the validator-share numbers join the
-    /// `results/bench_baseline.json` that `repro` wrote) instead of
-    /// replacing it.
+    /// into an existing file (how the validator-share numbers join a
+    /// file `repro --metrics-json` wrote) instead of replacing it.
     metrics_json: Option<(std::path::PathBuf, bool)>,
 }
 

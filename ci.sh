@@ -10,9 +10,6 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy (verify feature)"
-cargo clippy --workspace --all-targets --features ppa-core/verify -- -D warnings
-
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -24,42 +21,14 @@ cargo test --workspace -q
 echo "== cargo test --workspace -q -- --ignored"
 cargo test --workspace -q -- --ignored
 
-echo "== cargo test -p ppa-core --features verify -q"
-cargo test -p ppa-core --features verify -q
+# The workspace run above unifies ppa-core's `verify` feature on (through
+# ppa-verify). These two crates also have a graph without it; test that
+# one too, so the simulator is checked with and without the verify hooks.
+echo "== cargo test -p ppa-core -q (verify feature off)"
+cargo test -p ppa-core -q
 
-# The pool on both feature graphs: standalone (default features) and
-# alongside ppa-verify, whose dependency tree switches on ppa-core/verify.
-echo "== cargo test -p ppa-pool -q"
-cargo test -p ppa-pool -q
-
-echo "== cargo test -p ppa-pool -p ppa-verify -q"
-cargo test -p ppa-pool -p ppa-verify -q
-
-# The multi-core machine on both feature graphs, same reasoning: the smp
-# crate must behave identically with and without ppa-core's verify hooks.
-echo "== cargo test -p ppa-smp -q"
+echo "== cargo test -p ppa-smp -q (verify feature off)"
 cargo test -p ppa-smp -q
-
-echo "== cargo test -p ppa-smp -p ppa-verify -q"
-cargo test -p ppa-smp -p ppa-verify -q
-
-# The grid on both feature graphs, same reasoning: the wire protocol,
-# coordinator, and worker must behave identically with and without
-# ppa-core's verify hooks in the dependency tree.
-echo "== cargo test -p ppa-grid -q"
-cargo test -p ppa-grid -q
-
-echo "== cargo test -p ppa-grid -p ppa-verify -q"
-cargo test -p ppa-grid -p ppa-verify -q
-
-# The shared-workload generators feeding the race detector, on both
-# feature graphs: the exported trace sets must be identical with and
-# without ppa-core's verify hooks in the tree.
-echo "== cargo test -p ppa-workloads -q"
-cargo test -p ppa-workloads -q
-
-echo "== cargo test -p ppa-workloads -p ppa-verify -q"
-cargo test -p ppa-workloads -p ppa-verify -q
 
 # Parallel smoke run: auto-sized pool, reduced trace length, a mix of
 # simulation-heavy and static experiments. Timings land on stderr.

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Parallelism (`--jobs N` / `PPA_JOBS=N`; `0` = one worker per CPU)
-//! fans per-app simulation out across the shared work-stealing pool and,
+//! fans per-app simulation out across the shared thread pool and,
 //! for `all`, runs whole experiments concurrently. With `--grid` (or
 //! `PPA_GRID`) the fan-out crosses hosts instead: `loopback:N` spawns N
 //! in-process workers, `serve:HOST:PORT` submits to a running
@@ -53,7 +53,6 @@ fn usage() -> ! {
     eprintln!("                    its connection after N units (testing)");
     eprintln!("  PPA_REPRO_LEN=N   per-app trace length (default 40000)");
     eprintln!("  PPA_LOG=LEVEL     stderr log level: error|warn|info|debug");
-    eprintln!("  PPA_POOL_STATS=1  print pool counters to stderr on exit");
     eprintln!();
     eprintln!("experiments:");
     for (id, _) in experiments::all_experiments() {
@@ -171,12 +170,7 @@ fn main() {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
             Ok(r) => r,
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("experiment panicked");
-                eprintln!("repro: {msg}");
+                eprintln!("repro: {}", ppa_pool::panic_message(payload.as_ref()));
                 std::process::exit(1);
             }
         }
@@ -197,12 +191,6 @@ fn main() {
 
     if let Some(grid) = gridwork::active() {
         grid.finish();
-    }
-
-    if std::env::var("PPA_POOL_STATS").is_ok_and(|v| v != "0") {
-        if let Some(stats) = ppa_pool::global_stats() {
-            eprintln!("{}", stats.table());
-        }
     }
 
     // Telemetry exports happen after all result output: fold the pool

@@ -183,20 +183,13 @@ pub fn run_worker(
                     let exec = Arc::clone(&exec);
                     let executed = Arc::clone(&executed);
                     let inflight = Arc::clone(&inflight);
-                    s.spawn(move |_ctx| {
+                    s.spawn(move || {
                         let t0 = Instant::now();
                         let start_us = ppa_obs::span::now_us();
                         let result =
                             catch_unwind(AssertUnwindSafe(|| exec.execute(&tag, &payload)))
                                 .unwrap_or_else(|payload| {
-                                    let msg =
-                                        if let Some(s) = payload.downcast_ref::<&'static str>() {
-                                            (*s).to_string()
-                                        } else if let Some(s) = payload.downcast_ref::<String>() {
-                                            s.clone()
-                                        } else {
-                                            "opaque panic payload".to_string()
-                                        };
+                                    let msg = ppa_pool::panic_message(payload.as_ref());
                                     Err(format!("unit panicked: {msg}"))
                                 });
                         let done_us = ppa_obs::span::now_us();

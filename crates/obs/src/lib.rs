@@ -2,7 +2,7 @@
 //!
 //! The repo spans five subsystems (core, smp, pool, grid, verify) and
 //! until this crate existed none of them had a shared way to report
-//! what they were doing: `PoolStats` was collected and never surfaced,
+//! what they were doing: pool counters were collected and never surfaced,
 //! the grid coordinator logged via ad-hoc `eprintln!`, and `repro`
 //! timings went to stderr in an untested free-form format. This crate
 //! is the observation surface for all of them, built (per the offline

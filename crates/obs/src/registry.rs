@@ -1,7 +1,7 @@
 //! The process-global metrics registry.
 //!
 //! Metrics live under stable dotted names mirroring the subsystem that
-//! owns them (`pool.steals`, `grid.coord.lease.expired`,
+//! owns them (`pool.jobs_run`, `grid.coord.lease.expired`,
 //! `verify.check.cycles_scanned`). Three kinds exist:
 //!
 //! * **counters** — monotonic `u64` event counts; incrementing is one
@@ -52,7 +52,7 @@ impl Counter {
     }
 
     /// Overwrites the count; for mirroring an externally accumulated
-    /// total (e.g. `PoolStats`) into the registry.
+    /// total (e.g. the pool's counters) into the registry.
     pub fn set(&self, n: u64) {
         self.0.store(n, Ordering::Relaxed);
     }

@@ -1,17 +1,16 @@
-//! `ppa-pool` — an in-tree work-stealing thread pool for the PPA
-//! harnesses.
+//! `ppa-pool` — the in-tree thread pool behind the PPA harnesses'
+//! parallel fan-out.
 //!
 //! The simulator itself is single-threaded by design; the natural
 //! parallel axis is *across* independent [`Machine`]s — per-app fan-out
-//! in `repro` and `ppa-verify`, and the crash oracle's (app × failure
-//! point) grid. Those jobs are coarse (milliseconds to seconds each), so
-//! this pool optimises for simplicity and determinism rather than
-//! nanosecond dispatch: per-worker deques protected by mutexes, with
-//! LIFO pops on the owner's queue (locality for nested spawns) and FIFO
-//! steals from everyone else's (fairness for the oldest work). Per the
-//! offline dependency policy (see ROADMAP.md) no external crates —
-//! `rayon` included — are available, so the executor is built from `std`
-//! alone, like `ppa-prng` before it.
+//! in `repro` and `ppa-verify`, the crash oracle's (app × failure
+//! point) grid, and one job per lease in the grid worker. Those jobs are
+//! coarse (milliseconds to seconds each), so one mutex-guarded queue and
+//! one condvar are all the scheduling they need: an idle worker takes the
+//! oldest job, and a thread waiting for a result takes the newest, which
+//! is usually its own nested job. Per the offline dependency policy (see
+//! ROADMAP.md) no external crates — `rayon` included — are available, so
+//! the executor is built from `std` alone, like `ppa-prng` before it.
 //!
 //! Three properties the consumers rely on:
 //!
@@ -29,16 +28,11 @@
 //!   jobs until its condition holds, so even a one-worker pool drains
 //!   nested scopes.
 //!
-//! Jobs also get soft cancellation: a [`Scope`] can be cancelled and a
-//! job can carry a soft timeout ([`JobOpts::timeout`]); queued jobs that
-//! are cancelled before starting complete as `Err(JobError::Cancelled)`
-//! without running, and running jobs can poll [`JobCtx::should_stop`].
-//!
 //! The shared pool is sized by the `PPA_JOBS` environment variable
 //! (absent or `1` = serial, `0` = auto-detect cores, `N` = N workers) or
-//! a [`set_jobs`] override (e.g. a `--jobs` CLI flag), and exposes
-//! scheduler counters — jobs run, steals, idle time — as a
-//! [`ppa_stats::TextTable`] via [`PoolStats::table`].
+//! a [`set_jobs`] override (e.g. a `--jobs` CLI flag). Every pool adds to
+//! one process-wide set of counters — jobs run, panics, idle time — which
+//! [`export_metrics`] mirrors into the `ppa-obs` registry as `pool.*`.
 //!
 //! [`Machine`]: ../ppa_sim/struct.Machine.html
 //!
@@ -54,23 +48,19 @@
 //! // Scoped spawns may borrow from the enclosing frame.
 //! let data = vec![1u64, 2, 3];
 //! let sum = pool.scope(|s| {
-//!     let h = s.spawn(|_ctx| data.iter().sum::<u64>());
+//!     let h = s.spawn(|| data.iter().sum::<u64>());
 //!     h.join().unwrap()
 //! });
 //! assert_eq!(sum, 6);
 //! ```
 
-mod stats;
-
-pub use stats::PoolStats;
-
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::time::Instant;
 
 /// Why a job did not produce a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,73 +68,21 @@ pub enum JobError {
     /// The job's closure panicked; the payload, rendered as text. The
     /// panic is confined to the job — the worker and pool stay usable.
     Panicked(String),
-    /// The job was cancelled (scope cancellation, or its soft deadline
-    /// passed) before it started running.
-    Cancelled,
 }
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
-            JobError::Cancelled => write!(f, "job cancelled before it ran"),
         }
     }
 }
 
 impl std::error::Error for JobError {}
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-#[derive(Debug, Default)]
-struct StatCells {
-    jobs_run: AtomicU64,
-    local_pops: AtomicU64,
-    steals: AtomicU64,
-    panics: AtomicU64,
-    cancelled: AtomicU64,
-    idle_ns: AtomicU64,
-}
-
-/// Shared pool state: one deque per worker plus the sleep/wake gate.
-struct Inner {
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Tasks currently enqueued. Incremented *before* the push and
-    /// decremented on a successful pop, so a zero reliably means "safe
-    /// to sleep" (a transient over-count only costs one extra scan).
-    queued: AtomicUsize,
-    /// Gate mutex for the condvar; pushes and job completions notify
-    /// under it so sleepers cannot miss a wakeup.
-    gate: Mutex<()>,
-    cond: Condvar,
-    shutdown: AtomicBool,
-    /// Round-robin cursor for pushes from non-worker threads.
-    next: AtomicUsize,
-    stats: StatCells,
-}
-
-thread_local! {
-    /// Set by worker threads: which pool they belong to and their queue
-    /// index, so nested spawns go to the local deque and nested
-    /// [`par_map_ordered`] calls reuse the enclosing pool.
-    static CURRENT: std::cell::RefCell<Option<(Weak<Inner>, usize)>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-fn current_inner() -> Option<Arc<Inner>> {
-    CURRENT.with(|c| c.borrow().as_ref().and_then(|(w, _)| w.upgrade()))
-}
-
-/// This thread's worker index, if it is a worker of exactly this pool.
-fn worker_index_in(inner: &Arc<Inner>) -> Option<usize> {
-    CURRENT.with(|c| {
-        c.borrow()
-            .as_ref()
-            .and_then(|(w, i)| w.upgrade().filter(|a| Arc::ptr_eq(a, inner)).map(|_| *i))
-    })
-}
-
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+/// Renders a caught panic payload as text: the message of a `panic!`
+/// with a literal or formatted string, a placeholder for anything else.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -154,124 +92,119 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+/// Locks `m`, ignoring poison: no code here panics while holding a lock,
+/// and jobs run with none held.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+// Process-wide counters every pool adds to; `export_metrics` reads them.
+static WORKERS: AtomicUsize = AtomicUsize::new(0);
+static JOBS_RUN: AtomicU64 = AtomicU64::new(0);
+static PANICS: AtomicU64 = AtomicU64::new(0);
+static IDLE_NS: AtomicU64 = AtomicU64::new(0);
+
+type Task = Box<dyn FnOnce() + Send + 'static>;
+
+/// What the queue mutex guards.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
+/// Shared pool state: one queue and the one condvar every wait sleeps on.
+///
+/// No wakeup is lost. Every change that can end a wait — a push, a job's
+/// completion, shutdown — is followed by `notify_all` while holding the
+/// queue mutex, and every waiter checks its condition while holding that
+/// mutex and keeps holding it until `wait` releases it. A change is thus
+/// either seen by the check, or its notify comes after the waiter sleeps.
+struct Inner {
+    queue: Mutex<Queue>,
+    cond: Condvar,
+}
+
+thread_local! {
+    /// The pool whose job this thread is running, so nested
+    /// [`par_map_ordered`] calls reuse the enclosing pool.
+    static CURRENT: std::cell::RefCell<Option<Weak<Inner>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+fn current_inner() -> Option<Arc<Inner>> {
+    CURRENT.with(|c| c.borrow().as_ref().and_then(Weak::upgrade))
+}
+
 impl Inner {
-    fn push(self: &Arc<Self>, task: Task) {
-        let n = self.queues.len();
-        let idx =
-            worker_index_in(self).unwrap_or_else(|| self.next.fetch_add(1, Ordering::Relaxed) % n);
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.queues[idx].lock().unwrap().push_back(task);
-        let _gate = self.gate.lock().unwrap();
+    /// Runs `task` with nested [`par_map_ordered`] calls routed to this
+    /// pool, whether a worker or a helping waiter runs it. Tasks never
+    /// unwind: `Scope::spawn` catches the job's panic.
+    fn run(self: &Arc<Self>, task: Task) {
+        let outer = CURRENT.with(|c| c.replace(Some(Arc::downgrade(self))));
+        task();
+        CURRENT.with(|c| *c.borrow_mut() = outer);
+    }
+
+    /// Applies `change` under the queue mutex, then wakes every waiter.
+    fn signal(&self, change: impl FnOnce(&mut Queue)) {
+        let mut queue = lock(&self.queue);
+        change(&mut queue);
         self.cond.notify_all();
     }
 
-    /// LIFO pop from the caller's own deque, then FIFO steal from the
-    /// others. `me == None` is an external helper (steal-only).
-    fn pop(&self, me: Option<usize>) -> Option<Task> {
-        if self.queued.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let n = self.queues.len();
-        if let Some(i) = me {
-            if let Some(t) = self.queues[i].lock().unwrap().pop_back() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.stats.local_pops.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        let start = me.map_or(0, |i| i + 1);
-        for k in 0..n {
-            let j = (start + k) % n;
-            if me == Some(j) {
-                continue;
-            }
-            if let Some(t) = self.queues[j].lock().unwrap().pop_front() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Runs queued tasks until `done` holds. This is what scope exits and
-    /// [`JobHandle::join`] block on, and it is why nested fan-out cannot
-    /// deadlock: a waiter is itself a worker.
-    fn help_until(self: &Arc<Self>, mut done: impl FnMut() -> bool) {
-        let me = worker_index_in(self);
-        loop {
-            if done() {
-                return;
-            }
-            if let Some(task) = self.pop(me) {
-                task();
-                continue;
-            }
-            let gate = self.gate.lock().unwrap();
-            if done() {
-                return;
-            }
-            if self.queued.load(Ordering::SeqCst) == 0 {
-                // The timeout is only a backstop; completions notify.
-                drop(
-                    self.cond
-                        .wait_timeout(gate, Duration::from_millis(1))
-                        .unwrap(),
-                );
-            }
-        }
-    }
-
-    fn snapshot_stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.queues.len(),
-            jobs_run: self.stats.jobs_run.load(Ordering::Relaxed),
-            local_pops: self.stats.local_pops.load(Ordering::Relaxed),
-            steals: self.stats.steals.load(Ordering::Relaxed),
-            panics: self.stats.panics.load(Ordering::Relaxed),
-            cancelled: self.stats.cancelled.load(Ordering::Relaxed),
-            idle: Duration::from_nanos(self.stats.idle_ns.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-fn worker_loop(inner: Arc<Inner>, index: usize) {
-    CURRENT.with(|c| *c.borrow_mut() = Some((Arc::downgrade(&inner), index)));
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        if let Some(task) = inner.pop(Some(index)) {
-            task();
-            continue;
-        }
-        let t0 = Instant::now();
-        let gate = inner.gate.lock().unwrap();
-        if inner.queued.load(Ordering::SeqCst) == 0 && !inner.shutdown.load(Ordering::SeqCst) {
-            drop(
-                inner
+    /// Runs queued tasks, newest first, until `done` holds. This is what
+    /// scope exits and [`JobHandle::join`] block on, and it is why nested
+    /// fan-out cannot deadlock: a waiter is itself a worker.
+    fn help_until(self: &Arc<Self>, done: impl Fn() -> bool) {
+        let mut queue = lock(&self.queue);
+        while !done() {
+            if let Some(task) = queue.tasks.pop_back() {
+                drop(queue);
+                self.run(task);
+                queue = lock(&self.queue);
+            } else {
+                queue = self
                     .cond
-                    .wait_timeout(gate, Duration::from_millis(50))
-                    .unwrap(),
-            );
-        } else {
-            drop(gate);
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
-        inner
-            .stats
-            .idle_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
-/// A fixed-size work-stealing thread pool. See the crate docs for the
-/// scheduling discipline and the determinism/panic/nesting contract.
+/// Runs queued tasks, oldest first, until the pool shuts down.
+fn worker_loop(inner: Arc<Inner>) {
+    let mut queue = lock(&inner.queue);
+    loop {
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
+            inner.run(task);
+            queue = lock(&inner.queue);
+        } else if queue.shutdown {
+            return;
+        } else {
+            let t0 = Instant::now();
+            queue = inner
+                .cond
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+            IDLE_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A fixed-size thread pool. See the crate docs for the scheduling
+/// discipline and the determinism/panic/nesting contract.
 pub struct ThreadPool {
     inner: Arc<Inner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.threads.len())
             .finish()
     }
 }
@@ -286,37 +219,25 @@ impl ThreadPool {
             workers
         };
         let inner = Arc::new(Inner {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            gate: Mutex::new(()),
+            queue: Mutex::default(),
             cond: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next: AtomicUsize::new(0),
-            stats: StatCells::default(),
         });
-        let handles = (0..workers)
+        let threads = (0..workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("ppa-pool-{i}"))
-                    .spawn(move || worker_loop(inner, i))
+                    .spawn(move || worker_loop(inner))
                     .expect("spawning a pool worker thread")
             })
             .collect();
-        ThreadPool {
-            inner,
-            workers: handles,
-        }
+        WORKERS.fetch_add(workers, Ordering::Relaxed);
+        ThreadPool { inner, threads }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.inner.queues.len()
-    }
-
-    /// A snapshot of the scheduler counters.
-    pub fn stats(&self) -> PoolStats {
-        self.inner.snapshot_stats()
+        self.threads.len()
     }
 
     /// Runs `f` with a [`Scope`] that can spawn jobs borrowing from the
@@ -346,68 +267,22 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _gate = self.inner.gate.lock().unwrap();
-            self.inner.cond.notify_all();
-        }
-        for handle in self.workers.drain(..) {
+        // Every scope borrows the pool, so the queue is empty by now.
+        self.inner.signal(|queue| queue.shutdown = true);
+        WORKERS.fetch_sub(self.threads.len(), Ordering::Relaxed);
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        for queue in &self.inner.queues {
-            queue.lock().unwrap().clear();
-        }
     }
-}
-
-/// Per-scope bookkeeping: outstanding jobs and the cancellation flag.
-#[derive(Debug, Default)]
-struct ScopeState {
-    pending: AtomicUsize,
-    cancelled: AtomicBool,
 }
 
 /// Spawn handle passed to [`ThreadPool::scope`] closures.
 pub struct Scope<'env> {
     inner: &'env Arc<Inner>,
-    state: Arc<ScopeState>,
+    /// Jobs spawned and not yet completed.
+    pending: Arc<AtomicUsize>,
     /// Invariance over `'env`, the crossbeam-style scoped-spawn guard.
     _env: PhantomData<&'env mut &'env ()>,
-}
-
-/// Per-job options for [`Scope::spawn_opts`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JobOpts {
-    /// Soft deadline, measured from spawn time. A job whose deadline has
-    /// passed before it starts completes as `Err(JobError::Cancelled)`
-    /// without running; a running job observes it via
-    /// [`JobCtx::should_stop`].
-    pub timeout: Option<Duration>,
-}
-
-/// Cooperative cancellation context handed to every job.
-#[derive(Debug)]
-pub struct JobCtx {
-    state: Arc<ScopeState>,
-    deadline: Option<Instant>,
-}
-
-impl JobCtx {
-    /// Whether the enclosing scope was cancelled.
-    pub fn cancelled(&self) -> bool {
-        self.state.cancelled.load(Ordering::SeqCst)
-    }
-
-    /// Whether this job's soft deadline has passed.
-    pub fn deadline_passed(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Whether the job should wind down (cancellation or deadline). Long
-    /// jobs poll this at convenient boundaries; nothing is preempted.
-    pub fn should_stop(&self) -> bool {
-        self.cancelled() || self.deadline_passed()
-    }
 }
 
 fn scope_on<'env, F, R>(inner: &'env Arc<Inner>, f: F) -> R
@@ -416,122 +291,70 @@ where
 {
     let scope = Scope {
         inner,
-        state: Arc::new(ScopeState::default()),
+        pending: Arc::new(AtomicUsize::new(0)),
         _env: PhantomData,
     };
     let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-    inner.help_until(|| scope.state.pending.load(Ordering::SeqCst) == 0);
-    match result {
-        Ok(r) => r,
-        Err(payload) => resume_unwind(payload),
-    }
+    inner.help_until(|| scope.pending.load(Ordering::SeqCst) == 0);
+    result.unwrap_or_else(|payload| resume_unwind(payload))
 }
 
 impl<'env> Scope<'env> {
-    /// Spawns a job with default options. The closure may borrow
-    /// anything that outlives the scope.
+    /// Spawns a job. The closure may borrow anything that outlives the
+    /// scope.
     pub fn spawn<T, F>(&self, f: F) -> JobHandle<T>
     where
         T: Send + 'env,
-        F: FnOnce(&JobCtx) -> T + Send + 'env,
+        F: FnOnce() -> T + Send + 'env,
     {
-        self.spawn_opts(JobOpts::default(), f)
-    }
-
-    /// Spawns a job with explicit [`JobOpts`].
-    pub fn spawn_opts<T, F>(&self, opts: JobOpts, f: F) -> JobHandle<T>
-    where
-        T: Send + 'env,
-        F: FnOnce(&JobCtx) -> T + Send + 'env,
-    {
-        self.state.pending.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::new(JobShared {
-            slot: Mutex::new(None),
-            done: AtomicBool::new(false),
-        });
-        let ctx = JobCtx {
-            state: Arc::clone(&self.state),
-            deadline: opts.timeout.map(|t| Instant::now() + t),
-        };
-        let weak = Arc::downgrade(self.inner);
-        let state = Arc::clone(&self.state);
-        let out = Arc::clone(&shared);
+        self.pending.fetch_add(1, Ordering::SeqCst);
+        let slot = Arc::new(Mutex::new(None));
+        let out = Arc::clone(&slot);
+        let pending = Arc::clone(&self.pending);
+        let inner = Arc::clone(self.inner);
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let pool = weak.upgrade();
-            let bump = |pick: fn(&StatCells) -> &AtomicU64| {
-                if let Some(inner) = &pool {
-                    pick(&inner.stats).fetch_add(1, Ordering::Relaxed);
-                }
-            };
-            let result = if ctx.should_stop() {
-                bump(|s| &s.cancelled);
-                Err(JobError::Cancelled)
-            } else {
-                bump(|s| &s.jobs_run);
-                match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                    Ok(value) => Ok(value),
-                    Err(payload) => {
-                        bump(|s| &s.panics);
-                        Err(JobError::Panicked(panic_message(payload.as_ref())))
-                    }
-                }
-            };
-            *out.slot.lock().unwrap() = Some(result);
-            out.done.store(true, Ordering::SeqCst);
-            state.pending.fetch_sub(1, Ordering::SeqCst);
-            if let Some(inner) = pool {
-                let _gate = inner.gate.lock().unwrap();
-                inner.cond.notify_all();
-            }
+            JOBS_RUN.fetch_add(1, Ordering::Relaxed);
+            let result = catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+                PANICS.fetch_add(1, Ordering::Relaxed);
+                JobError::Panicked(panic_message(payload.as_ref()))
+            });
+            *lock(&out) = Some(result);
+            // `out` goes before the count does, so a result nobody joins
+            // is never dropped after its scope has returned.
+            inner.signal(move |_| {
+                drop(out);
+                pending.fetch_sub(1, Ordering::SeqCst);
+            });
         });
         // SAFETY: `scope_on` does not return — normally or by unwind —
         // until `pending` reaches zero, i.e. until this closure has run
-        // (or been skipped as cancelled) and dropped its captures. Every
-        // capture outlives `'env`, and `'env` outlives the `scope_on`
-        // call, so erasing the lifetime cannot let the job observe freed
-        // data. This is the standard scoped-pool construction.
+        // `f` (consuming its captures) and released its share of the
+        // result slot. What it still holds then (`inner`, `pending`) is
+        // `'static`. Every capture outlives `'env`, and `'env` outlives
+        // the `scope_on` call, so erasing the lifetime cannot let the job
+        // observe freed data. This is the standard scoped-pool
+        // construction.
         let task: Task =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Task>(job) };
-        self.inner.push(task);
+        self.inner.signal(|queue| queue.tasks.push_back(task));
         JobHandle {
             inner: Arc::clone(self.inner),
-            shared,
+            slot,
         }
     }
-
-    /// Cancels the scope: running jobs observe [`JobCtx::should_stop`],
-    /// and queued jobs that have not started complete as
-    /// `Err(JobError::Cancelled)` without running.
-    pub fn cancel(&self) {
-        self.state.cancelled.store(true, Ordering::SeqCst);
-    }
-}
-
-struct JobShared<T> {
-    slot: Mutex<Option<Result<T, JobError>>>,
-    done: AtomicBool,
 }
 
 /// Handle to one spawned job's result.
 pub struct JobHandle<T> {
     inner: Arc<Inner>,
-    shared: Arc<JobShared<T>>,
+    slot: Arc<Mutex<Option<Result<T, JobError>>>>,
 }
 
 impl<T> JobHandle<T> {
-    /// Whether the job has finished (in any way).
-    pub fn is_done(&self) -> bool {
-        self.shared.done.load(Ordering::SeqCst)
-    }
-
     /// Waits for the job, helping run queued work in the meantime.
     pub fn join(self) -> Result<T, JobError> {
-        self.inner
-            .help_until(|| self.shared.done.load(Ordering::SeqCst));
-        self.shared
-            .slot
-            .lock()
-            .unwrap()
+        self.inner.help_until(|| lock(&self.slot).is_some());
+        lock(&self.slot)
             .take()
             .expect("a completed job always stores a result")
     }
@@ -548,7 +371,7 @@ where
     scope_on(inner, |s| {
         let handles: Vec<JobHandle<U>> = items
             .into_iter()
-            .map(|item| s.spawn(move |_ctx| f(item)))
+            .map(|item| s.spawn(move || f(item)))
             .collect();
         handles.into_iter().map(JobHandle::join).collect()
     })
@@ -597,27 +420,20 @@ pub fn global() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| ThreadPool::new(configured_jobs()))
 }
 
-/// Stats for the shared pool, if it has been created (it never is in
-/// serial runs).
-pub fn global_stats() -> Option<PoolStats> {
-    GLOBAL.get().map(ThreadPool::stats)
-}
-
-/// Mirrors [`global_stats`] into the `ppa-obs` registry as `pool.*`
-/// metrics (counters overwritten with the cumulative totals, `idle`
-/// in nanoseconds). Harness front-ends call this right before
-/// snapshotting so `--metrics-json` always reflects the final pool
-/// state. Serial runs, where the shared pool never spins up, export
-/// an all-zero family so the JSON shape is stable across job counts.
+/// Mirrors the process-wide pool counters into the `ppa-obs` registry
+/// as `pool.*` metrics: `pool.workers` (a gauge of the worker threads
+/// alive now), and the cumulative `pool.jobs_run`, `pool.panics` and
+/// `pool.idle_ns` (idle time summed across workers) of every pool the
+/// process has run. Harness front-ends call this right before
+/// snapshotting so `--metrics-json` always reflects the final state.
+/// Serial runs, which start no pool, export an all-zero family so the
+/// JSON shape is stable across job counts.
 pub fn export_metrics() {
-    let stats = global_stats().unwrap_or_default();
-    ppa_obs::registry::gauge("pool.workers").set(stats.workers as f64);
-    ppa_obs::registry::counter("pool.jobs_run").set(stats.jobs_run);
-    ppa_obs::registry::counter("pool.local_pops").set(stats.local_pops);
-    ppa_obs::registry::counter("pool.steals").set(stats.steals);
-    ppa_obs::registry::counter("pool.panics").set(stats.panics);
-    ppa_obs::registry::counter("pool.cancelled").set(stats.cancelled);
-    ppa_obs::registry::counter("pool.idle_ns").set(stats.idle.as_nanos() as u64);
+    use ppa_obs::registry::{counter, gauge};
+    gauge("pool.workers").set(WORKERS.load(Ordering::Relaxed) as f64);
+    counter("pool.jobs_run").set(JOBS_RUN.load(Ordering::Relaxed));
+    counter("pool.panics").set(PANICS.load(Ordering::Relaxed));
+    counter("pool.idle_ns").set(IDLE_NS.load(Ordering::Relaxed));
 }
 
 /// Order-preserving parallel map over the ambient pool: the enclosing
@@ -691,6 +507,5 @@ mod tests {
         assert!(JobError::Panicked("boom".into())
             .to_string()
             .contains("boom"));
-        assert!(JobError::Cancelled.to_string().contains("cancelled"));
     }
 }

@@ -9,7 +9,7 @@
 //! mutation.
 //!
 //! `--jobs N` (or `PPA_JOBS=N`; `0` = one worker per CPU) fans each
-//! stage out across the shared work-stealing pool: invariant checks and
+//! stage out across the shared thread pool: invariant checks and
 //! lints per workload, the crash oracle over its (app x failure-point)
 //! grid, and the mutation self-tests per injected fault. Output order
 //! and content are identical at any job count.
@@ -98,7 +98,6 @@ fn usage() -> ! {
     eprintln!("  PPA_GRID_DIE_AFTER=N loopback fault injection: worker 0 drops");
     eprintln!("                       its connection after N units (testing)");
     eprintln!("  PPA_ORACLE_POINTS=N  default for --points");
-    eprintln!("  PPA_POOL_STATS=1     print pool counters to stderr on exit");
     eprintln!("  PPA_LOG=LEVEL        stderr log level: error|warn|info|debug (default warn)");
     std::process::exit(2)
 }
@@ -575,7 +574,7 @@ fn print_arbiter_mutations(opts: &Options) -> bool {
 fn cmd_mutate(_opts: &Options) -> bool {
     println!("== mutate: checker self-test via injected hardware bugs");
     let mut ok = true;
-    for report in mutation::run_all(20_000) {
+    for report in mutation::run_all() {
         let fired = report.fired_kinds();
         if report.detected() {
             println!(
@@ -633,11 +632,6 @@ fn main() -> ExitCode {
     };
     if let Some(h) = &grid_handle {
         h.finish();
-    }
-    if std::env::var("PPA_POOL_STATS").is_ok_and(|v| v != "0") {
-        if let Some(stats) = ppa_pool::global_stats() {
-            eprintln!("{}", stats.table());
-        }
     }
     if let Some((path, merge)) = &opts.metrics_json {
         ppa_pool::export_metrics();

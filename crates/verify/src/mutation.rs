@@ -105,19 +105,16 @@ impl MutationReport {
 }
 
 /// Runs one mutation case: arms the fault, attaches the default
-/// validators, and steps the core for `max_cycles` (an injected fault may
-/// deadlock the pipeline, so the run is bounded rather than driven to
-/// completion).
-pub fn run_case(case: MutationCase, max_cycles: u64) -> MutationReport {
+/// validators, and runs the core to completion, or to the machine's one
+/// deadlock bound should a fault ever stall it.
+pub fn run_case(case: MutationCase) -> MutationReport {
     let traces = [mutation_trace()];
     let cfg = CoreConfig::paper_default(PersistenceMode::Ppa).with_prf(56, 56);
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
     let mut cores = [Core::new(cfg, 0)];
     cores[0].attach_default_validators();
     cores[0].inject_fault(case.fault);
-    // A finished core no longer runs its validators, so running on to
-    // the bound reports exactly what stopping at the finish would.
-    Lockstep::new(&mut cores, &traces, &mut mem).run_to(max_cycles);
+    Lockstep::new(&mut cores, &traces, &mut mem).run();
     MutationReport {
         case,
         violations: cores[0].take_violations(),
@@ -125,8 +122,8 @@ pub fn run_case(case: MutationCase, max_cycles: u64) -> MutationReport {
 }
 
 /// Runs the whole suite, one pool job per injected fault.
-pub fn run_all(max_cycles: u64) -> Vec<MutationReport> {
-    ppa_pool::par_map_ordered(cases(), move |c| run_case(c, max_cycles))
+pub fn run_all() -> Vec<MutationReport> {
+    ppa_pool::par_map_ordered(cases(), run_case)
 }
 
 #[cfg(test)]
@@ -135,7 +132,7 @@ mod tests {
 
     #[test]
     fn every_injected_fault_is_detected_as_a_named_violation() {
-        let reports = run_all(20_000);
+        let reports = run_all();
         assert!(reports.len() >= 3, "the suite must cover at least 3 bugs");
         for r in &reports {
             assert!(

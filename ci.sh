@@ -142,6 +142,11 @@ cargo run -q -p ppa-verify --release -- check --len 600 \
 # Golden output: per-app cycle counts gate the run loop's stop rule.
 diff results/verify_check_600.txt /tmp/ppa_ci_check.txt
 
+# The default length, at which check times are quoted.
+echo "== ppa-verify check vs results/verify_check.txt"
+time cargo run -q -p ppa-verify --release -- check > /tmp/ppa_ci_check_default.txt 2> /dev/null
+diff results/verify_check.txt /tmp/ppa_ci_check_default.txt
+
 # The checker self-test: per-fault violation counts depend on the bounded
 # loop's stop rule, so they are golden too.
 echo "== ppa-verify mutate vs results/verify_mutate.txt"

@@ -11,6 +11,7 @@ use crate::verify::{CoreView, FaultKind, RobSlot};
 use crate::verify::{Validator, Violation};
 use ppa_isa::{ArchReg, MemRef, Trace, UopKind};
 use ppa_mem::MemorySystem;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy)]
@@ -115,6 +116,9 @@ pub struct Core {
     /// Violations the attached validators have reported so far.
     #[cfg(feature = "verify")]
     violations: Vec<Violation>,
+    /// The validators' ROB snapshot, refilled every checked cycle.
+    #[cfg(feature = "verify")]
+    rob_slots: Vec<RobSlot>,
     /// Deliberately injected bugs (mutation self-tests).
     #[cfg(feature = "verify")]
     faults: Vec<FaultKind>,
@@ -174,6 +178,8 @@ impl Core {
             validator_timing: Vec::new(),
             #[cfg(feature = "verify")]
             violations: Vec::new(),
+            #[cfg(feature = "verify")]
+            rob_slots: Vec::new(),
             #[cfg(feature = "verify")]
             faults: Vec::new(),
             #[cfg(feature = "prof")]
@@ -783,6 +789,24 @@ impl Core {
     /// A read-only snapshot of the core's microarchitectural state for
     /// the verification layer (`crate::verify`).
     pub fn verify_view(&self, now: u64) -> CoreView<'_> {
+        self.view_over(now, Cow::Owned(self.rob_slots_iter().collect()))
+    }
+
+    /// The ROB as validators see it, oldest first.
+    fn rob_slots_iter(&self) -> impl Iterator<Item = RobSlot> + '_ {
+        self.rob.iter().map(|e| RobSlot {
+            seq: e.seq,
+            kind: e.kind,
+            dst: e.dst.map(|d| d.phys),
+            prev: e.dst.and_then(|d| d.prev),
+            srcs: e.srcs,
+            store_data: e.store_data,
+            issued: e.issued,
+        })
+    }
+
+    /// A view whose ROB snapshot is `rob`.
+    fn view_over<'a>(&'a self, now: u64, rob: Cow<'a, [RobSlot]>) -> CoreView<'a> {
         CoreView {
             cycle: now,
             cfg: &self.cfg,
@@ -793,19 +817,7 @@ impl Core {
             mask: &self.mask,
             csq: &self.csq,
             deferred: &self.deferred_frees,
-            rob: self
-                .rob
-                .iter()
-                .map(|e| RobSlot {
-                    seq: e.seq,
-                    kind: e.kind,
-                    dst: e.dst.map(|d| d.phys),
-                    prev: e.dst.and_then(|d| d.prev),
-                    srcs: e.srcs,
-                    store_data: e.store_data,
-                    issued: e.issued,
-                })
-                .collect(),
+            rob,
             iq: &self.iq,
             lq_pending: self.lq_pending,
             sq_pending: self.sq_pending,
@@ -868,15 +880,23 @@ impl Core {
         let mut validators = std::mem::take(&mut self.validators);
         let mut timing = std::mem::take(&mut self.validator_timing);
         let mut violations = std::mem::take(&mut self.violations);
+        let mut rob_slots = std::mem::take(&mut self.rob_slots);
+        rob_slots.clear();
+        rob_slots.extend(self.rob_slots_iter());
         {
-            let view = self.verify_view(now);
+            let view = self.view_over(now, Cow::Borrowed(&rob_slots));
+            // Chained clock reads: one validator's end is the next one's
+            // start, so n validators cost n + 1 reads.
+            let mut start = std::time::Instant::now();
             for (v, t) in validators.iter_mut().zip(timing.iter_mut()) {
-                let t0 = std::time::Instant::now();
                 v.check(&view, &mut violations);
-                t.elapsed += t0.elapsed();
+                let end = std::time::Instant::now();
+                t.elapsed += end - start;
                 t.cycles += 1;
+                start = end;
             }
         }
+        self.rob_slots = rob_slots;
         self.validators = validators;
         self.validator_timing = timing;
         self.violations = violations;

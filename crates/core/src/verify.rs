@@ -30,7 +30,7 @@ use crate::ppa::mask::MaskReg;
 use crate::prf::{PhysReg, Prf};
 use crate::rename::RenameTable;
 use ppa_isa::{RegClass, UopKind};
-use std::collections::HashSet;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A deliberately injected bug, used by the mutation self-tests to prove
@@ -148,6 +148,39 @@ pub enum InvariantKind {
 }
 
 impl InvariantKind {
+    /// Every kind, in declaration order: 23 per-core invariants, the one
+    /// advisory note, then the 4 cross-core checks.
+    pub const ALL: [InvariantKind; 28] = [
+        InvariantKind::FreeListDuplicate,
+        InvariantKind::FreeListAllocatedOverlap,
+        InvariantKind::RatDanglingMapping,
+        InvariantKind::RatDuplicateMapping,
+        InvariantKind::CrtDanglingMapping,
+        InvariantKind::CrtDuplicateMapping,
+        InvariantKind::MaskedRegisterFree,
+        InvariantKind::MaskedRegisterReallocated,
+        InvariantKind::MaskedNotStoreSource,
+        InvariantKind::CsqSourceUnmasked,
+        InvariantKind::CsqSourceFreed,
+        InvariantKind::DeferredFreeUnmasked,
+        InvariantKind::PpaStateOutsidePpaMode,
+        InvariantKind::CsqOverCapacity,
+        InvariantKind::CsqEntryInvalidSize,
+        InvariantKind::CsqReordered,
+        InvariantKind::CsqShrankWithinRegion,
+        InvariantKind::CsqStoreCountMismatch,
+        InvariantKind::RobSequenceGap,
+        InvariantKind::IssueQueueOrphan,
+        InvariantKind::LoadQueueCountMismatch,
+        InvariantKind::StoreQueueCountMismatch,
+        InvariantKind::PrfLeak,
+        InvariantKind::AttachedMidRegion,
+        InvariantKind::CrossCoreDrainOrder,
+        InvariantKind::PersistBeforeDependence,
+        InvariantKind::RecoveryImageOverlap,
+        InvariantKind::ArbiterUnfair,
+    ];
+
     /// Stable, kebab-case name for reports and CLIs.
     pub fn name(self) -> &'static str {
         match self {
@@ -262,7 +295,7 @@ pub struct CoreView<'a> {
     pub(crate) mask: &'a MaskReg,
     pub(crate) csq: &'a Csq,
     pub(crate) deferred: &'a [PhysReg],
-    pub(crate) rob: Vec<RobSlot>,
+    pub(crate) rob: Cow<'a, [RobSlot]>,
     pub(crate) iq: &'a [u64],
     pub(crate) lq_pending: usize,
     pub(crate) sq_pending: usize,
@@ -352,8 +385,6 @@ impl CoreView<'_> {
     }
 }
 
-/// A pluggable cycle-level check. Implementations may keep state between
-/// cycles (e.g. the CSQ FIFO check snapshots the previous contents).
 /// Per-validator cost accounting, kept by the core alongside each
 /// attached validator: cycles checked and wall time spent inside
 /// [`Validator::check`]. This is plain data (no telemetry dependency)
@@ -379,6 +410,8 @@ impl ValidatorTiming {
     }
 }
 
+/// A pluggable cycle-level check. Implementations may keep state between
+/// cycles (e.g. the CSQ FIFO check snapshots the previous contents).
 pub trait Validator: fmt::Debug {
     /// Stable name, shown in reports.
     fn name(&self) -> &'static str;
@@ -387,9 +420,61 @@ pub trait Validator: fmt::Debug {
     fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>);
 }
 
+/// A set of physical registers, one bit per register of each bank: the
+/// validators' scratch space. A validator owns one and resets it on every
+/// check, so a checked cycle neither allocates nor hashes.
+#[derive(Debug, Default)]
+struct RegSet {
+    int: Vec<u64>,
+    fp: Vec<u64>,
+}
+
+impl RegSet {
+    /// Empties the set and sizes it to `prf`'s banks. One validator may
+    /// see cores of different PRF sizes in turn.
+    fn reset(&mut self, prf: &Prf) {
+        for (words, class) in [(&mut self.int, RegClass::Int), (&mut self.fp, RegClass::Fp)] {
+            words.clear();
+            words.resize(prf.size(class).div_ceil(64), 0);
+        }
+    }
+
+    /// Word index and bit mask of `reg` within its bank.
+    fn slot(reg: PhysReg) -> (usize, u64) {
+        let i = reg.index() as usize;
+        (i / 64, 1 << (i % 64))
+    }
+
+    fn bank(&self, class: RegClass) -> &[u64] {
+        match class {
+            RegClass::Int => &self.int,
+            RegClass::Fp => &self.fp,
+        }
+    }
+
+    /// Adds `reg`; `false` if it was already present.
+    fn insert(&mut self, reg: PhysReg) -> bool {
+        let (word, bit) = Self::slot(reg);
+        let bank = match reg.class() {
+            RegClass::Int => &mut self.int,
+            RegClass::Fp => &mut self.fp,
+        };
+        let fresh = bank[word] & bit == 0;
+        bank[word] |= bit;
+        fresh
+    }
+
+    fn contains(&self, reg: PhysReg) -> bool {
+        let (word, bit) = Self::slot(reg);
+        self.bank(reg.class())[word] & bit != 0
+    }
+}
+
 /// Free-list integrity: no duplicates, no overlap with allocated state.
 #[derive(Debug, Default)]
-pub struct FreeListCheck;
+pub struct FreeListCheck {
+    seen: RegSet,
+}
 
 impl Validator for FreeListCheck {
     fn name(&self) -> &'static str {
@@ -397,10 +482,11 @@ impl Validator for FreeListCheck {
     }
 
     fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
+        // Registers carry their class, so one set serves both free lists.
+        self.seen.reset(view.prf());
         for class in [RegClass::Int, RegClass::Fp] {
-            let mut seen = HashSet::new();
             for reg in view.prf().free_regs(class) {
-                if !seen.insert(reg) {
+                if !self.seen.insert(reg) {
                     out.push(view.violation(
                         InvariantKind::FreeListDuplicate,
                         self.name(),
@@ -422,7 +508,9 @@ impl Validator for FreeListCheck {
 /// RAT/CRT consistency: mappings target allocated registers, and no
 /// physical register backs two architectural ones.
 #[derive(Debug, Default)]
-pub struct RenameCheck;
+pub struct RenameCheck {
+    seen: RegSet,
+}
 
 impl Validator for RenameCheck {
     fn name(&self) -> &'static str {
@@ -445,7 +533,7 @@ impl Validator for RenameCheck {
             ),
         ];
         for (table, label, dangling, duplicate) in tables {
-            let mut seen = HashSet::new();
+            self.seen.reset(view.prf());
             for (arch, phys) in table.iter() {
                 if !view.prf().is_allocated(phys) {
                     out.push(view.violation(
@@ -454,7 +542,7 @@ impl Validator for RenameCheck {
                         format!("{label} maps {arch} to free {phys}"),
                     ));
                 }
-                if !seen.insert(phys) {
+                if !self.seen.insert(phys) {
                     out.push(view.violation(
                         duplicate,
                         self.name(),
@@ -470,7 +558,9 @@ impl Validator for RenameCheck {
 /// sources, every pinned register is allocated, and deferred frees are
 /// pinned. Outside PPA mode, MaskReg and CSQ must stay empty.
 #[derive(Debug, Default)]
-pub struct MaskRegCheck;
+pub struct MaskRegCheck {
+    csq_sources: RegSet,
+}
 
 impl Validator for MaskRegCheck {
     fn name(&self) -> &'static str {
@@ -493,7 +583,10 @@ impl Validator for MaskRegCheck {
             }
             return;
         }
-        let csq_sources: HashSet<PhysReg> = view.csq().iter().map(|e| e.src).collect();
+        self.csq_sources.reset(view.prf());
+        for entry in view.csq().iter() {
+            self.csq_sources.insert(entry.src);
+        }
         for slot in view.rob() {
             if let Some(dst) = slot.dst {
                 if view.mask().is_masked(dst) {
@@ -516,7 +609,7 @@ impl Validator for MaskRegCheck {
                     format!("masked {reg} is on the free list"),
                 ));
             }
-            if !csq_sources.contains(&reg) {
+            if !self.csq_sources.contains(reg) {
                 out.push(view.violation(
                     InvariantKind::MaskedNotStoreSource,
                     self.name(),
@@ -597,20 +690,23 @@ impl Validator for CsqOrderCheck {
             }
         }
 
-        let current: Vec<CsqEntry> = csq.iter().copied().collect();
         let same_region = self.last_regions == Some(view.regions_completed());
         if same_region {
-            if current.len() < self.snapshot.len() {
+            if csq.len() < self.snapshot.len() {
                 out.push(view.violation(
                     InvariantKind::CsqShrankWithinRegion,
                     self.name(),
                     format!(
                         "CSQ went from {} to {} entries with no boundary",
                         self.snapshot.len(),
-                        current.len()
+                        csq.len()
                     ),
                 ));
-            } else if current[..self.snapshot.len()] != self.snapshot[..] {
+            } else if !csq
+                .iter()
+                .zip(&self.snapshot)
+                .all(|(now, then)| now == then)
+            {
                 out.push(view.violation(
                     InvariantKind::CsqReordered,
                     self.name(),
@@ -627,7 +723,7 @@ impl Validator for CsqOrderCheck {
             // ordering was never observed, so this validator cannot rule
             // out a pre-existing reorder among them.
             if self.last_regions.is_none() {
-                self.carried = current.len().saturating_sub(view.region_stores() as usize);
+                self.carried = csq.len().saturating_sub(view.region_stores() as usize);
                 if self.carried > 0 {
                     out.push(view.violation(
                         InvariantKind::AttachedMidRegion,
@@ -637,7 +733,7 @@ impl Validator for CsqOrderCheck {
                              ({} present, {} committed this region); their ordering \
                              was not validated",
                             self.carried,
-                            current.len(),
+                            csq.len(),
                             view.region_stores()
                         ),
                     ));
@@ -648,19 +744,20 @@ impl Validator for CsqOrderCheck {
             self.last_regions = Some(view.regions_completed());
         }
         let expected = self.carried + view.region_stores() as usize;
-        if current.len() != expected {
+        if csq.len() != expected {
             out.push(view.violation(
                 InvariantKind::CsqStoreCountMismatch,
                 self.name(),
                 format!(
                     "{} CSQ entries but {} stores committed this region (+{} carried)",
-                    current.len(),
+                    csq.len(),
                     view.region_stores(),
                     self.carried
                 ),
             ));
         }
-        self.snapshot = current;
+        self.snapshot.clear();
+        self.snapshot.extend(csq.iter().copied());
     }
 }
 
@@ -735,7 +832,9 @@ impl Validator for RobAgeCheck {
 /// the deferred-free list. (The double-free direction is covered by
 /// [`FreeListCheck`]'s overlap detection.)
 #[derive(Debug, Default)]
-pub struct PrfLeakCheck;
+pub struct PrfLeakCheck {
+    reachable: RegSet,
+}
 
 impl Validator for PrfLeakCheck {
     fn name(&self) -> &'static str {
@@ -743,20 +842,28 @@ impl Validator for PrfLeakCheck {
     }
 
     fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
-        let mut reachable: HashSet<PhysReg> = HashSet::new();
-        reachable.extend(view.rat().iter().map(|(_, p)| p));
-        reachable.extend(view.crt().iter().map(|(_, p)| p));
-        reachable.extend(view.mask().masked_regs());
-        reachable.extend(view.deferred_frees().iter().copied());
+        let reachable = &mut self.reachable;
+        reachable.reset(view.prf());
+        for (_, reg) in view.rat().iter().chain(view.crt().iter()) {
+            reachable.insert(reg);
+        }
+        for reg in view.mask().masked_regs() {
+            reachable.insert(reg);
+        }
+        for &reg in view.deferred_frees() {
+            reachable.insert(reg);
+        }
         for slot in view.rob() {
-            reachable.extend(slot.dst);
-            reachable.extend(slot.prev);
-            reachable.extend(slot.store_data);
-            reachable.extend(slot.srcs.iter().flatten());
+            for reg in [slot.dst, slot.prev, slot.store_data].into_iter().flatten() {
+                reachable.insert(reg);
+            }
+            for reg in slot.srcs.into_iter().flatten() {
+                reachable.insert(reg);
+            }
         }
         for class in [RegClass::Int, RegClass::Fp] {
             for reg in view.prf().regs(class) {
-                if view.prf().is_allocated(reg) && !reachable.contains(&reg) {
+                if view.prf().is_allocated(reg) && !self.reachable.contains(reg) {
                     out.push(view.violation(
                         InvariantKind::PrfLeak,
                         self.name(),
@@ -771,12 +878,12 @@ impl Validator for PrfLeakCheck {
 /// The full built-in validator suite.
 pub fn default_validators() -> Vec<Box<dyn Validator>> {
     vec![
-        Box::new(FreeListCheck),
-        Box::new(RenameCheck),
-        Box::new(MaskRegCheck),
+        Box::new(FreeListCheck::default()),
+        Box::new(RenameCheck::default()),
+        Box::new(MaskRegCheck::default()),
         Box::new(CsqOrderCheck::default()),
         Box::new(RobAgeCheck),
-        Box::new(PrfLeakCheck),
+        Box::new(PrfLeakCheck::default()),
     ]
 }
 
@@ -785,11 +892,11 @@ pub fn default_validators() -> Vec<Box<dyn Validator>> {
 /// ad-hoc asserts, expressed as named invariants.
 pub fn check_snapshot(view: &CoreView<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
-    FreeListCheck.check(view, &mut out);
-    RenameCheck.check(view, &mut out);
-    MaskRegCheck.check(view, &mut out);
+    FreeListCheck::default().check(view, &mut out);
+    RenameCheck::default().check(view, &mut out);
+    MaskRegCheck::default().check(view, &mut out);
     RobAgeCheck.check(view, &mut out);
-    PrfLeakCheck.check(view, &mut out);
+    PrfLeakCheck::default().check(view, &mut out);
     out
 }
 
@@ -801,6 +908,7 @@ mod tests {
     use crate::pipeline::Core;
     use ppa_isa::{ArchReg, TraceBuilder};
     use ppa_mem::{MemConfig, MemorySystem};
+    use std::collections::HashSet;
 
     fn run_clean_core() -> (Core, MemorySystem) {
         let mut b = TraceBuilder::new("t");
@@ -845,37 +953,139 @@ mod tests {
 
     #[test]
     fn kinds_have_unique_names() {
-        let kinds = [
-            InvariantKind::FreeListDuplicate,
-            InvariantKind::FreeListAllocatedOverlap,
-            InvariantKind::RatDanglingMapping,
-            InvariantKind::RatDuplicateMapping,
-            InvariantKind::CrtDanglingMapping,
-            InvariantKind::CrtDuplicateMapping,
-            InvariantKind::MaskedRegisterFree,
-            InvariantKind::MaskedRegisterReallocated,
-            InvariantKind::MaskedNotStoreSource,
-            InvariantKind::CsqSourceUnmasked,
-            InvariantKind::CsqSourceFreed,
-            InvariantKind::DeferredFreeUnmasked,
-            InvariantKind::PpaStateOutsidePpaMode,
-            InvariantKind::CsqOverCapacity,
-            InvariantKind::CsqEntryInvalidSize,
-            InvariantKind::CsqReordered,
-            InvariantKind::CsqShrankWithinRegion,
-            InvariantKind::CsqStoreCountMismatch,
-            InvariantKind::RobSequenceGap,
-            InvariantKind::IssueQueueOrphan,
-            InvariantKind::LoadQueueCountMismatch,
-            InvariantKind::StoreQueueCountMismatch,
-            InvariantKind::PrfLeak,
-            InvariantKind::AttachedMidRegion,
-            InvariantKind::CrossCoreDrainOrder,
-            InvariantKind::PersistBeforeDependence,
-            InvariantKind::RecoveryImageOverlap,
-        ];
-        let names: HashSet<&str> = kinds.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), kinds.len());
+        let names: HashSet<&str> = InvariantKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), InvariantKind::ALL.len());
+    }
+
+    #[test]
+    fn all_lists_every_kind_in_declaration_order() {
+        // Exhaustive on purpose: a new kind does not compile until it has
+        // an arm here, and its arm indexes `ALL` at the kind's position,
+        // which does not compile until `ALL` is long enough to hold it.
+        fn listed(kind: InvariantKind) -> InvariantKind {
+            use InvariantKind::*;
+            let all = InvariantKind::ALL;
+            match kind {
+                FreeListDuplicate => all[0],
+                FreeListAllocatedOverlap => all[1],
+                RatDanglingMapping => all[2],
+                RatDuplicateMapping => all[3],
+                CrtDanglingMapping => all[4],
+                CrtDuplicateMapping => all[5],
+                MaskedRegisterFree => all[6],
+                MaskedRegisterReallocated => all[7],
+                MaskedNotStoreSource => all[8],
+                CsqSourceUnmasked => all[9],
+                CsqSourceFreed => all[10],
+                DeferredFreeUnmasked => all[11],
+                PpaStateOutsidePpaMode => all[12],
+                CsqOverCapacity => all[13],
+                CsqEntryInvalidSize => all[14],
+                CsqReordered => all[15],
+                CsqShrankWithinRegion => all[16],
+                CsqStoreCountMismatch => all[17],
+                RobSequenceGap => all[18],
+                IssueQueueOrphan => all[19],
+                LoadQueueCountMismatch => all[20],
+                StoreQueueCountMismatch => all[21],
+                PrfLeak => all[22],
+                AttachedMidRegion => all[23],
+                CrossCoreDrainOrder => all[24],
+                PersistBeforeDependence => all[25],
+                RecoveryImageOverlap => all[26],
+                ArbiterUnfair => all[27],
+            }
+        }
+        for (i, &kind) in InvariantKind::ALL.iter().enumerate() {
+            assert_eq!(listed(kind), kind, "ALL[{i}] is out of place");
+            assert_eq!(kind as usize, i);
+        }
+        let advisory = InvariantKind::ALL.iter().filter(|k| k.is_advisory());
+        assert_eq!(advisory.count(), 1);
+    }
+
+    /// Bank sizes that are not multiples of 64, as in the paper's PRF
+    /// (180/168) and the mutation self-test (56).
+    #[test]
+    fn reg_set_covers_partial_words_up_to_the_last_index() {
+        for (int, fp) in [(56, 56), (180, 168), (168, 180), (64, 1)] {
+            let prf = Prf::new(int, fp);
+            let mut set = RegSet::default();
+            set.reset(&prf);
+            for class in [RegClass::Int, RegClass::Fp] {
+                let last = PhysReg::new(class, prf.size(class) as u16 - 1);
+                for reg in prf.regs(class) {
+                    assert!(!set.contains(reg), "{reg} in an empty set");
+                }
+                assert!(set.insert(last), "{last} is new");
+                assert!(!set.insert(last), "{last} is already present");
+                assert!(set.contains(last));
+                let neighbours = prf.regs(class).filter(|&r| r != last);
+                assert!(neighbours.into_iter().all(|r| !set.contains(r)));
+            }
+            // The other bank's register of the same index stays apart.
+            set.reset(&prf);
+            assert!(set.insert(PhysReg::new(RegClass::Int, 0)));
+            assert!(!set.contains(PhysReg::new(RegClass::Fp, 0)));
+        }
+    }
+
+    /// The set agrees with a `HashSet` over a seeded mix of inserts, on a
+    /// scratch set reused across PRF sizes without stale bits.
+    #[test]
+    fn reg_set_matches_a_hash_set_across_resets() {
+        let mut rng = ppa_prng::Prng::seed_from_u64(20);
+        let mut set = RegSet::default();
+        for (int, fp) in [(180, 168), (56, 56), (280, 280), (80, 80), (180, 168)] {
+            let prf = Prf::new(int, fp);
+            set.reset(&prf);
+            let mut model = HashSet::new();
+            for _ in 0..400 {
+                let class = if rng.random_bool(0.5) {
+                    RegClass::Int
+                } else {
+                    RegClass::Fp
+                };
+                let reg = PhysReg::new(class, rng.random_below(prf.size(class) as u64) as u16);
+                assert_eq!(set.insert(reg), model.insert(reg), "insert {reg}");
+            }
+            for class in [RegClass::Int, RegClass::Fp] {
+                for reg in prf.regs(class) {
+                    assert_eq!(set.contains(reg), model.contains(&reg), "{reg}");
+                }
+            }
+        }
+    }
+
+    /// One validator suite checks cores of different PRF sizes in turn
+    /// (as the PRF-size sweep does) and reports exactly what a fresh
+    /// suite reports on each.
+    #[test]
+    fn reused_validators_match_fresh_ones_across_prf_sizes() {
+        let mut reused = default_validators();
+        for size in [80, 280, 56, 180] {
+            let mut b = TraceBuilder::new("sweep");
+            for i in 0..60u64 {
+                let r = ArchReg::int((i % 6) as u8);
+                b.alu(r, &[r]);
+                b.store(r, 0x1000 + i * 8, i + 1);
+            }
+            let traces = [b.build()];
+            let cfg = CoreConfig::paper_default(PersistenceMode::Ppa).with_prf(size, size);
+            let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
+            let mut cores = [Core::new(cfg, 0)];
+            let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
+            for _ in 0..120 {
+                machine.step();
+                let view = machine.cores()[0].verify_view(machine.now());
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for (v, mut fresh) in reused.iter_mut().zip(default_validators()) {
+                    v.check(&view, &mut got);
+                    fresh.check(&view, &mut want);
+                }
+                assert_eq!(got, want, "PRF {size} at cycle {}", machine.now());
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn cmd_check(opts: &Options) -> bool {
     // What fraction of the check's wall time went to the validators
     // themselves (vs simulation)? At --jobs 1 this is a true share;
     // with a pool it can exceed 1.0 since validator time sums across
-    // workers. Either way it is the ROADMAP perf item's baseline.
+    // workers.
     let wall_ns = t0.elapsed().as_nanos() as f64;
     let validator_ns: u64 = ppa_obs::registry::snapshot()
         .entries()

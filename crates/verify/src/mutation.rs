@@ -144,6 +144,40 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a over every violation's display line, in report
+    /// order: one number that changes if any violation's kind, cycle,
+    /// core, detail or position changes.
+    fn digest(violations: &[Violation]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in violations {
+            for b in format!("{v}\n").bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// `results/verify_mutate.txt` pins counts and kinds; this pins
+    /// identity. A faster validator must report the same violations, in
+    /// the same order, at the same cycles.
+    #[test]
+    fn violation_identity_is_pinned() {
+        let got: Vec<(FaultKind, usize, u64)> = run_all()
+            .iter()
+            .map(|r| (r.case.fault, r.violations.len(), digest(&r.violations)))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (FaultKind::SkipMaskPin, 7359, 0xf22b_aea8_5fdc_003a),
+                (FaultKind::SkipCsqEntry, 6843, 0x01a2_3a3f_1fc8_64d2),
+                (FaultKind::EagerFreeMasked, 4086, 0xe187_5b51_a4d4_f3b0),
+                (FaultKind::LeakDeferredFrees, 110_130, 0x9e18_cafa_f62c_c0c6),
+            ]
+        );
+    }
+
     #[test]
     fn clean_run_of_the_same_workload_reports_nothing() {
         let trace = mutation_trace();

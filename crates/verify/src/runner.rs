@@ -68,10 +68,8 @@ pub fn check_app(app: &AppDescriptor, len: usize, seed: u64) -> CheckReport {
 
 /// Lifts the cores' [`ppa_core::verify::ValidatorTiming`] accounting
 /// into `verify.check.*` metrics: cycles scanned per validator, wall
-/// time per validator, and run totals. This is the measurement
-/// baseline for the ROADMAP's "check is O(validators × ROB) per
-/// cycle" optimization — before this existed the cost could not even
-/// be observed.
+/// time per validator, and run totals. perfbench's `crash` workload
+/// reads the per-validator time as its `verify.validator.*` layers.
 fn record_check_metrics(cores: &[Core], cycles: u64) {
     ppa_obs::registry::counter("verify.check.apps").inc();
     ppa_obs::registry::counter("verify.check.cycles_scanned").add(cycles);

@@ -68,6 +68,7 @@ pub mod prof;
 mod rename;
 mod stats;
 pub mod verify;
+mod window;
 
 pub use config::{ConfigError, CoreConfig, PersistenceMode};
 pub use events::{EventLog, PipelineEvent};

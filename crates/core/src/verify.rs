@@ -296,7 +296,7 @@ pub struct CoreView<'a> {
     pub(crate) csq: &'a Csq,
     pub(crate) deferred: &'a [PhysReg],
     pub(crate) rob: Cow<'a, [RobSlot]>,
-    pub(crate) iq: &'a [u64],
+    pub(crate) iq: Cow<'a, [u64]>,
     pub(crate) lq_pending: usize,
     pub(crate) sq_pending: usize,
     pub(crate) region_stores: u64,
@@ -351,7 +351,7 @@ impl CoreView<'_> {
 
     /// Sequence numbers of dispatched-but-unissued micro-ops.
     pub fn iq(&self) -> &[u64] {
-        self.iq
+        &self.iq
     }
 
     /// Renamed loads that have not issued.
@@ -934,6 +934,62 @@ mod tests {
         let view = core.verify_view(300);
         let violations = check_snapshot(&view);
         assert!(violations.is_empty(), "unexpected: {violations:?}");
+    }
+
+    /// The IQ the view carries is read from the core's IQ mask, not from
+    /// the ROB's issued flags, so rob-age can catch an IQ that names an
+    /// issued op or an op the ROB does not hold.
+    #[test]
+    fn issue_queue_orphans_are_reported() {
+        let mut b = TraceBuilder::new("orphans");
+        for i in 0..40u64 {
+            let r = ArchReg::int((i % 6) as u8);
+            b.alu(r, &[r]);
+            b.load(ArchReg::int(7), 0x4000 + i * 4096);
+        }
+        let traces = [b.build()];
+        let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
+        let mut cores = [Core::new(
+            CoreConfig::paper_default(PersistenceMode::Ppa),
+            0,
+        )];
+        let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
+        let (issued, unissued) = loop {
+            machine.step();
+            let view = machine.cores()[0].verify_view(machine.now());
+            let rob = view.rob();
+            let issued = rob.iter().find(|e| e.issued).map(|e| e.seq);
+            let unissued = rob.iter().filter(|e| !e.issued).count();
+            if let (Some(seq), 1..) = (issued, unissued) {
+                break (seq, unissued);
+            }
+            assert!(
+                machine.now() < 1_000,
+                "no cycle with issued and waiting ops"
+            );
+        };
+        let mut view = machine.cores()[0].verify_view(machine.now());
+        assert_eq!(view.iq().len(), unissued, "the IQ holds the unissued ops");
+        let mut out = Vec::new();
+        RobAgeCheck.check(&view, &mut out);
+        assert_eq!(out, vec![], "the live IQ is consistent");
+
+        let absent = view.rob().last().expect("ROB is not empty").seq + 100;
+        view.iq = Cow::Owned(vec![issued, absent]);
+        RobAgeCheck.check(&view, &mut out);
+        let details: Vec<&str> = out
+            .iter()
+            .filter(|v| v.kind == InvariantKind::IssueQueueOrphan)
+            .map(|v| v.detail.as_str())
+            .collect();
+        assert_eq!(
+            details,
+            [
+                format!("IQ references seq {issued} which is absent or already issued"),
+                format!("IQ references seq {absent} which is absent or already issued"),
+            ]
+        );
+        assert_eq!(out.len(), 2, "{out:?}");
     }
 
     #[test]

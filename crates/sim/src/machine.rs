@@ -5,33 +5,32 @@ use ppa_isa::transform::{CapriPass, ReplayCachePass, TracePass};
 use ppa_isa::Trace;
 use ppa_mem::MemorySystem;
 use ppa_workloads::AppDescriptor;
-use std::collections::HashSet;
 
 /// Deterministically selects the fraction of the traces' footprint that
 /// is DRAM-cache resident at measurement time (see
 /// [`ppa_workloads::AppDescriptor::dram_resident_frac`]): a line is
 /// resident iff a hash of its address falls below the fraction.
 fn classify_lines(traces: &[Trace], app: &AppDescriptor) -> (Vec<u64>, Vec<u64>) {
-    let mut hot = HashSet::new();
-    let mut resident = HashSet::new();
+    let mut hot = Vec::new();
+    let mut resident = Vec::new();
     for t in traces {
         for u in t {
             if let Some(m) = u.mem {
                 let line = ppa_isa::line_of(m.addr);
                 if app.is_hot_line(line) {
-                    hot.insert(line);
+                    hot.push(line);
                 } else if hash01(line) < app.dram_resident_frac {
-                    resident.insert(line);
+                    resident.push(line);
                 }
             }
         }
     }
     // Sorted so prewarm order (and therefore LRU state) is deterministic.
-    let mut h: Vec<u64> = hot.into_iter().collect();
-    h.sort_unstable();
-    let mut r: Vec<u64> = resident.into_iter().collect();
-    r.sort_unstable();
-    (h, r)
+    for lines in [&mut hot, &mut resident] {
+        lines.sort_unstable();
+        lines.dedup();
+    }
+    (hot, resident)
 }
 
 fn hash01(x: u64) -> f64 {

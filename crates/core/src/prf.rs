@@ -177,11 +177,6 @@ impl Prf {
         self.bank_mut(reg.class()).ready_at[reg.index() as usize] = at;
     }
 
-    /// Whether the register's value is available at `now`.
-    pub fn is_ready(&self, reg: PhysReg, now: u64) -> bool {
-        self.ready_at(reg) <= now
-    }
-
     /// Marks an allocated register as holding an architectural value that
     /// is immediately available (used when seeding initial mappings and
     /// when rebuilding state during power-failure recovery).
@@ -263,12 +258,12 @@ mod tests {
     fn values_and_readiness() {
         let mut prf = Prf::new(4, 4);
         let p = prf.allocate(RegClass::Int, 100).unwrap();
-        assert!(!prf.is_ready(p, 99));
-        assert!(prf.is_ready(p, 100));
+        assert!(prf.ready_at(p) > 99);
+        assert!(prf.ready_at(p) <= 100);
         prf.set_value(p, 42);
         assert_eq!(prf.value(p), 42);
         prf.set_ready_at(p, 200);
-        assert!(!prf.is_ready(p, 150));
+        assert!(prf.ready_at(p) > 150);
     }
 
     #[test]
@@ -299,7 +294,7 @@ mod tests {
         let mut prf = Prf::new(2, 2);
         let p = prf.allocate(RegClass::Int, 500).unwrap();
         prf.force_architectural(p, 9);
-        assert!(prf.is_ready(p, 0));
+        assert_eq!(prf.ready_at(p), 0);
         assert_eq!(prf.value(p), 9);
     }
 }

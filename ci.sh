@@ -396,12 +396,32 @@ grep -q "  cache: entries=" /tmp/ppa_ci_watch_err.txt
 wait "$DSE_SERVE_PID" "$DSE_WORK_PID" 2> /dev/null || true
 rm -f "$DSE_PORT"
 
-# The cycle-attribution profiler: a prof-feature build must keep stdout
-# byte-identical while exporting the prof.* metrics family and a
-# non-empty collapsed-stack (flamegraph) file.
-echo "== repro --profile gate (prof feature, stdout identity + prof.* family)"
+# The cycle-attribution profiler is a runtime switch. A default build,
+# armed, must keep stdout byte-identical and export no
+# prof.core.step.*: perfbench's probe refuses any binary that does.
+echo "== repro --profile gate (default build: no prof.core.step.*)"
 PPA_JOBS=0 PPA_REPRO_LEN=1200 \
-    cargo run -q -p ppa-bench --release --features prof --bin repro -- \
+    cargo run -q -p ppa-bench --release --bin repro -- --profile \
+    --metrics-json /tmp/ppa_ci_prof_default.json \
+    fig11 table4 ckpt autopersist > /tmp/ppa_ci_prof_default_stdout.txt 2> /dev/null
+diff /tmp/ppa_ci_local.txt /tmp/ppa_ci_prof_default_stdout.txt
+python3 - <<'EOF'
+import json
+m = json.load(open("/tmp/ppa_ci_prof_default.json"))
+leaked = sorted(k for k in m if k.startswith("prof.core.step."))
+assert not leaked, f"a default build exported {leaked}"
+print("default build ok: no prof.core.step.*")
+EOF
+
+# The same switch with stage timing compiled in (ppa-core's `prof`
+# feature): the switch's own test binary, then stdout byte-identity
+# while exporting the prof.* metrics family and a non-empty
+# collapsed-stack (flamegraph) file.
+echo "== cargo test -p ppa-smp --features ppa-core/prof --test smp_prof"
+cargo test -q -p ppa-smp --features ppa-core/prof --test smp_prof
+echo "== repro --profile gate (ppa-core/prof, stdout identity + prof.* family)"
+PPA_JOBS=0 PPA_REPRO_LEN=1200 \
+    cargo run -q -p ppa-bench --release --features ppa-core/prof --bin repro -- \
     --profile --prof-out /tmp/ppa_ci_prof.txt \
     --metrics-json /tmp/ppa_ci_prof_metrics.json \
     fig11 table4 ckpt autopersist > /tmp/ppa_ci_prof_stdout.txt 2> /dev/null

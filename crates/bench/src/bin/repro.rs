@@ -40,9 +40,9 @@ fn usage() -> ! {
     eprintln!("  --metrics-json FILE write the metrics registry as flat JSON");
     eprintln!("  --trace-out FILE    write a Chrome trace_event timeline (open in");
     eprintln!("                      chrome://tracing or https://ui.perfetto.dev)");
-    eprintln!("  --profile           arm the per-stage cycle-attribution profiler");
-    eprintln!("                      (needs a build with --features prof; results");
-    eprintln!("                      land in the prof.* metrics family)");
+    eprintln!("  --profile           arm the cycle-attribution profiler (results");
+    eprintln!("                      land in the prof.* metrics family; pipeline");
+    eprintln!("                      stages need --features ppa-core/prof)");
     eprintln!("  --prof-out FILE     write collapsed (flamegraph) stacks derived");
     eprintln!("                      from prof.*; implies --profile");
     eprintln!();
@@ -103,12 +103,12 @@ fn main() {
         ppa_obs::span::enable_trace();
     }
     if profile {
-        if cfg!(feature = "prof") {
-            ppa_sim::set_profiling(true);
-        } else {
+        ppa_sim::set_profiling(true);
+        if !ppa_core::prof::STAGE_TIMING {
             eprintln!(
-                "repro: this build lacks the `prof` feature; --profile is inert \
-                 (rebuild with `--features prof`)"
+                "repro: this build lacks ppa-core's `prof` feature; --profile times \
+                 SMP phases but not pipeline stages (rebuild with \
+                 `--features ppa-core/prof`)"
             );
         }
     }

@@ -63,7 +63,6 @@ mod lockstep;
 mod pipeline;
 pub mod ppa;
 mod prf;
-#[cfg(feature = "prof")]
 pub mod prof;
 mod rename;
 mod stats;

@@ -4,11 +4,10 @@ use crate::ppa::checkpoint::CheckpointImage;
 use crate::ppa::csq::{Csq, CsqEntry};
 use crate::ppa::mask::MaskReg;
 use crate::prf::{PhysReg, Prf};
+use crate::prof::Timing;
 use crate::rename::RenameTable;
 use crate::stats::{CoreStats, RegionEndCause};
 use crate::verify::{CoreView, FaultKind, RobSlot};
-#[cfg(feature = "verify")]
-use crate::verify::{Validator, Violation};
 use crate::window::{DstInfo, RobEntry, Window};
 use ppa_isa::{ArchReg, Trace, UopKind};
 use ppa_mem::MemorySystem;
@@ -80,33 +79,34 @@ pub struct Core {
     finished_at: Option<u64>,
     stats: CoreStats,
     event_log: Option<EventLog>,
-    /// Attached cycle-level checks (the `verify` feature's hook).
+    /// The `verify` feature's hook: attached validators and their state.
     #[cfg(feature = "verify")]
-    validators: Vec<Box<dyn Validator>>,
+    checks: Checks,
+    /// Per-stage cost accounting, aligned with [`crate::prof::STAGES`].
+    stage_timing: [Timing; 3],
+    /// Whether stage timing is armed. Timing also needs
+    /// [`crate::prof::STAGE_TIMING`]; without it an armed core times
+    /// nothing.
+    prof_enabled: bool,
+}
+
+/// Attached cycle-level checks and their state (the `verify` feature's
+/// hook), held by [`Core`] in one field.
+#[cfg(feature = "verify")]
+#[derive(Debug, Default)]
+struct Checks {
+    validators: Vec<Box<dyn crate::verify::Validator>>,
     /// Per-validator cost accounting, aligned with `validators`.
-    #[cfg(feature = "verify")]
-    validator_timing: Vec<crate::verify::ValidatorTiming>,
+    timings: Vec<Timing>,
     /// Violations the attached validators have reported so far.
-    #[cfg(feature = "verify")]
-    violations: Vec<Violation>,
+    violations: Vec<crate::verify::Violation>,
     /// The validators' ROB snapshot, refilled every checked cycle.
-    #[cfg(feature = "verify")]
     rob_slots: Vec<RobSlot>,
     /// The validators' IQ snapshot, read from the IQ mask every checked
     /// cycle.
-    #[cfg(feature = "verify")]
     iq_seqs: Vec<u64>,
     /// Deliberately injected bugs (mutation self-tests).
-    #[cfg(feature = "verify")]
     faults: Vec<FaultKind>,
-    /// Per-stage cost accounting (the `prof` feature's hook), aligned
-    /// with [`crate::prof::STAGES`].
-    #[cfg(feature = "prof")]
-    stage_timing: Vec<crate::prof::StageTiming>,
-    /// Whether stage timing is armed; a prof-enabled build with
-    /// profiling off pays one branch per step.
-    #[cfg(feature = "prof")]
-    prof_enabled: bool,
 }
 
 impl Core {
@@ -148,23 +148,8 @@ impl Core {
             stats,
             event_log: None,
             #[cfg(feature = "verify")]
-            validators: Vec::new(),
-            #[cfg(feature = "verify")]
-            validator_timing: Vec::new(),
-            #[cfg(feature = "verify")]
-            violations: Vec::new(),
-            #[cfg(feature = "verify")]
-            rob_slots: Vec::new(),
-            #[cfg(feature = "verify")]
-            iq_seqs: Vec::new(),
-            #[cfg(feature = "verify")]
-            faults: Vec::new(),
-            #[cfg(feature = "prof")]
-            stage_timing: crate::prof::STAGES
-                .iter()
-                .map(|s| crate::prof::StageTiming::new(s))
-                .collect(),
-            #[cfg(feature = "prof")]
+            checks: Checks::default(),
+            stage_timing: crate::prof::STAGES.map(Timing::new),
             prof_enabled: false,
             cfg,
         }
@@ -263,7 +248,6 @@ impl Core {
             .record_region(self.region_insts, self.region_stores, cause);
         self.region_insts = 0;
         self.region_stores = 0;
-        #[cfg(debug_assertions)]
         self.check_invariants(now);
     }
 
@@ -273,10 +257,8 @@ impl Core {
     /// are attached — structured reporting owns detection then, and a
     /// panic here would pre-empt the violation record the mutation
     /// self-tests assert on.
-    #[cfg(debug_assertions)]
     fn check_invariants(&self, now: u64) {
-        #[cfg(feature = "verify")]
-        if !self.validators.is_empty() || !self.faults.is_empty() {
+        if !cfg!(debug_assertions) || self.checks_attached() {
             return;
         }
         let violations = crate::verify::check_snapshot(&self.verify_view(now));
@@ -304,8 +286,6 @@ impl Core {
         self.sq_release.retain(|&t| t > now);
 
         self.step_stages(trace, mem, now);
-
-        #[cfg(feature = "verify")]
         self.run_validators(now);
 
         if self.fetch_idx >= trace.len() && self.rob.is_empty() {
@@ -788,85 +768,60 @@ impl Core {
         }
     }
 
-    /// Whether a deliberately injected fault is armed.
-    fn fault_active(&self, _fault: FaultKind) -> bool {
-        #[cfg(feature = "verify")]
-        {
-            self.faults.contains(&_fault)
-        }
-        #[cfg(not(feature = "verify"))]
-        {
-            false
-        }
-    }
-
-    /// The commit → issue → rename stage sequence of one cycle.
-    #[cfg(not(feature = "prof"))]
-    #[inline]
-    fn step_stages(&mut self, trace: &Trace, mem: &mut MemorySystem, now: u64) {
-        self.commit(mem, now);
-        self.issue(mem, now);
-        self.rename(trace, mem, now);
-    }
-
     /// The commit → issue → rename stage sequence of one cycle, with
-    /// per-stage wall-time attribution when profiling is armed.
-    #[cfg(feature = "prof")]
+    /// per-stage wall-time attribution when stage timing is compiled in
+    /// and profiling is armed.
     #[inline]
     fn step_stages(&mut self, trace: &Trace, mem: &mut MemorySystem, now: u64) {
-        if !self.prof_enabled {
+        if crate::prof::STAGE_TIMING && self.prof_enabled {
+            let t0 = std::time::Instant::now();
             self.commit(mem, now);
+            let t1 = std::time::Instant::now();
             self.issue(mem, now);
+            let t2 = std::time::Instant::now();
             self.rename(trace, mem, now);
+            let t3 = std::time::Instant::now();
+            self.stage_timing[0].add(t1 - t0);
+            self.stage_timing[1].add(t2 - t1);
+            self.stage_timing[2].add(t3 - t2);
             return;
         }
-        let t0 = std::time::Instant::now();
         self.commit(mem, now);
-        let t1 = std::time::Instant::now();
         self.issue(mem, now);
-        let t2 = std::time::Instant::now();
         self.rename(trace, mem, now);
-        let t3 = std::time::Instant::now();
-        self.stage_timing[0].add(t1 - t0);
-        self.stage_timing[1].add(t2 - t1);
-        self.stage_timing[2].add(t3 - t2);
     }
 
-    #[cfg(feature = "verify")]
-    fn run_validators(&mut self, now: u64) {
-        if self.validators.is_empty() {
-            return;
-        }
-        // Detach the validator list so the checks can borrow `self`
-        // immutably through the view.
-        let mut validators = std::mem::take(&mut self.validators);
-        let mut timing = std::mem::take(&mut self.validator_timing);
-        let mut violations = std::mem::take(&mut self.violations);
-        let mut rob_slots = std::mem::take(&mut self.rob_slots);
-        rob_slots.clear();
-        rob_slots.extend(self.rob_slots_iter());
-        let mut iq_seqs = std::mem::take(&mut self.iq_seqs);
-        iq_seqs.clear();
-        iq_seqs.extend(self.rob.iq_seqs());
-        {
-            let view = self.view_over(now, Cow::Borrowed(&rob_slots), Cow::Borrowed(&iq_seqs));
-            // Chained clock reads: one validator's end is the next one's
-            // start, so n validators cost n + 1 reads.
-            let mut start = std::time::Instant::now();
-            for (v, t) in validators.iter_mut().zip(timing.iter_mut()) {
-                v.check(&view, &mut violations);
-                let end = std::time::Instant::now();
-                t.elapsed += end - start;
-                t.cycles += 1;
-                start = end;
-            }
-        }
-        self.rob_slots = rob_slots;
-        self.iq_seqs = iq_seqs;
-        self.validators = validators;
-        self.validator_timing = timing;
-        self.violations = violations;
+    /// Arms per-stage wall-time attribution for this core. Only a build
+    /// with the `prof` feature ([`crate::prof::STAGE_TIMING`]) times
+    /// anything; elsewhere the timings stay zero.
+    pub fn enable_profiling(&mut self) {
+        self.prof_enabled = true;
     }
+
+    /// Per-stage cost accounting, aligned with [`crate::prof::STAGES`].
+    /// `ppa-sim` and `ppa-smp` lift these into the
+    /// `prof.core.step.<stage>.*` metrics after a run.
+    pub fn stage_timings(&self) -> &[Timing] {
+        &self.stage_timing
+    }
+}
+
+/// Without the `verify` feature the hook is empty: no validator runs and
+/// no fault is ever armed.
+#[cfg(not(feature = "verify"))]
+impl Core {
+    #[inline]
+    fn checks_attached(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn fault_active(&self, _fault: FaultKind) -> bool {
+        false
+    }
+
+    #[inline]
+    fn run_validators(&mut self, _now: u64) {}
 }
 
 /// Verification hooks, available with the `verify` cargo feature. The
@@ -874,11 +829,46 @@ impl Core {
 /// attached, so even verify-enabled builds pay nothing by default.
 #[cfg(feature = "verify")]
 impl Core {
+    /// Whether validators or faults are attached.
+    fn checks_attached(&self) -> bool {
+        !self.checks.validators.is_empty() || !self.checks.faults.is_empty()
+    }
+
+    /// Whether a deliberately injected fault is armed.
+    fn fault_active(&self, fault: FaultKind) -> bool {
+        self.checks.faults.contains(&fault)
+    }
+
+    fn run_validators(&mut self, now: u64) {
+        if self.checks.validators.is_empty() {
+            return;
+        }
+        // Detach the checks so they can borrow `self` immutably through
+        // the view.
+        let mut c = std::mem::take(&mut self.checks);
+        c.rob_slots.clear();
+        c.rob_slots.extend(self.rob_slots_iter());
+        c.iq_seqs.clear();
+        c.iq_seqs.extend(self.rob.iq_seqs());
+        {
+            let view = self.view_over(now, Cow::Borrowed(&c.rob_slots), Cow::Borrowed(&c.iq_seqs));
+            // Chained clock reads: one validator's end is the next one's
+            // start, so n validators cost n + 1 reads.
+            let mut start = std::time::Instant::now();
+            for (v, t) in c.validators.iter_mut().zip(&mut c.timings) {
+                v.check(&view, &mut c.violations);
+                let end = std::time::Instant::now();
+                t.add(end - start);
+                start = end;
+            }
+        }
+        self.checks = c;
+    }
+
     /// Attaches one cycle-level check.
-    pub fn attach_validator(&mut self, v: Box<dyn Validator>) {
-        self.validator_timing
-            .push(crate::verify::ValidatorTiming::new(v.name()));
-        self.validators.push(v);
+    pub fn attach_validator(&mut self, v: Box<dyn crate::verify::Validator>) {
+        self.checks.timings.push(Timing::new(v.name()));
+        self.checks.validators.push(v);
     }
 
     /// Attaches the full built-in suite ([`crate::verify::default_validators`]).
@@ -889,46 +879,28 @@ impl Core {
     }
 
     /// Violations reported so far by attached validators.
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
+    pub fn violations(&self) -> &[crate::verify::Violation] {
+        &self.checks.violations
     }
 
     /// Per-validator cost accounting: how many cycles each attached
     /// validator has checked and how much wall time it spent doing so.
-    /// `ppa-verify check` aggregates these into the
-    /// `verify.check.validator.<name>.*` metrics, the measurement
-    /// baseline for the ROADMAP's dirty-set optimization.
-    pub fn validator_timings(&self) -> &[crate::verify::ValidatorTiming] {
-        &self.validator_timing
+    /// `ppa-verify check` lifts these into the
+    /// `verify.check.validator.<name>.*` metrics, which perfbench's
+    /// `crash` workload reads as its per-validator layers.
+    pub fn validator_timings(&self) -> &[Timing] {
+        &self.checks.timings
     }
 
     /// Drains the recorded violations.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+    pub fn take_violations(&mut self) -> Vec<crate::verify::Violation> {
+        std::mem::take(&mut self.checks.violations)
     }
 
     /// Arms a deliberately injected bug. The mutation self-tests use this
     /// to prove the checker detects real implementation errors.
     pub fn inject_fault(&mut self, fault: FaultKind) {
-        self.faults.push(fault);
-    }
-}
-
-/// Profiling hooks, available with the `prof` cargo feature. Stage
-/// timing only happens once [`Core::enable_profiling`] is called, so
-/// even prof-enabled builds pay a single branch per step by default.
-#[cfg(feature = "prof")]
-impl Core {
-    /// Arms per-stage wall-time attribution for this core.
-    pub fn enable_profiling(&mut self) {
-        self.prof_enabled = true;
-    }
-
-    /// Per-stage cost accounting, aligned with [`crate::prof::STAGES`].
-    /// `ppa-sim` aggregates these into the `prof.core.step.<stage>.*`
-    /// metrics after a run.
-    pub fn stage_timings(&self) -> &[crate::prof::StageTiming] {
-        &self.stage_timing
+        self.checks.faults.push(fault);
     }
 }
 

@@ -385,31 +385,6 @@ impl CoreView<'_> {
     }
 }
 
-/// Per-validator cost accounting, kept by the core alongside each
-/// attached validator: cycles checked and wall time spent inside
-/// [`Validator::check`]. This is plain data (no telemetry dependency)
-/// so `ppa-core` stays leaf-light; `ppa-verify` lifts it into metrics.
-#[derive(Debug, Clone)]
-pub struct ValidatorTiming {
-    /// The validator's [`Validator::name`].
-    pub name: &'static str,
-    /// Cycles this validator has checked.
-    pub cycles: u64,
-    /// Wall time spent inside `check` across those cycles.
-    pub elapsed: std::time::Duration,
-}
-
-impl ValidatorTiming {
-    /// A zeroed accumulator for `name`.
-    pub fn new(name: &'static str) -> Self {
-        ValidatorTiming {
-            name,
-            cycles: 0,
-            elapsed: std::time::Duration::ZERO,
-        }
-    }
-}
-
 /// A pluggable cycle-level check. Implementations may keep state between
 /// cycles (e.g. the CSQ FIFO check snapshots the previous contents).
 pub trait Validator: fmt::Debug {

@@ -1,8 +1,9 @@
 //! Collapsed-stack (flamegraph) rendering of the `prof.*` metrics
 //! family.
 //!
-//! The cycle-attribution profiler (feature `prof` on ppa-core/ppa-sim/
-//! ppa-smp) exports nanosecond counters under names shaped like
+//! The cycle-attribution profiler (armed by `ppa_sim::set_profiling`;
+//! pipeline stages also need ppa-core's `prof` feature) exports
+//! nanosecond counters under names shaped like
 //! `prof.<frame>.<frame>...<ns|cycles>`. [`collapsed_stacks`] folds the
 //! `.ns` counters into the standard collapsed-stack text format that
 //! `flamegraph.pl`, speedscope, and most profiler UIs ingest directly:
@@ -21,8 +22,7 @@ use crate::registry::{snapshot, Value};
 /// Renders every `prof.*.ns` counter in the registry as one collapsed
 /// stack line (`frame;frame;... <ns>`), sorted. Zero-valued stacks are
 /// skipped — an unarmed profiler contributes nothing. Returns the
-/// empty string when no profile data exists (e.g. built without the
-/// `prof` feature).
+/// empty string when no profile data exists (e.g. profiling unarmed).
 pub fn collapsed_stacks() -> String {
     let mut out = String::new();
     for (name, value) in snapshot().entries() {

@@ -4,8 +4,9 @@
 //! ([`ppa_mem::MemorySystem`]) into runnable machines, provides the
 //! configuration presets of the paper's evaluation (Table 2 and the
 //! Figure 9/10/14 variants), injects power failures and drives the
-//! checkpoint/recovery protocol, and verifies crash consistency against
-//! the golden architectural memory.
+//! checkpoint/recovery protocol. Every run and recovery judges crash
+//! consistency by diffing the NVM image against ppa-mem's golden
+//! architectural memory (`nvm_image().diff(arch_mem())`).
 //!
 //! # Examples
 //!
@@ -21,13 +22,11 @@
 //! assert!(ppa.consistent, "PPA must leave NVM crash-consistent");
 //! ```
 
-mod consistency;
 mod failure;
 mod machine;
 mod presets;
 mod report;
 
-pub use consistency::{check_consistency, BadWord, ConsistencyReport};
 pub use failure::{
     inject_failure, inject_failure_multicore, inject_failure_with_flush, FailureOutcome,
 };
@@ -37,11 +36,12 @@ pub use report::SimReport;
 
 /// Process-global switch for the cycle-attribution profiler.
 ///
-/// Always present so front-ends need no `cfg` gates; it only has an
-/// effect when the `prof` cargo feature is compiled in, in which case
-/// every core built after `set_profiling(true)` times its pipeline
-/// stages and the run lifts `prof.core.step.<stage>.{cycles,ns}`
-/// counters into the metrics registry.
+/// Every machine built after `set_profiling(true)` arms its cores, and
+/// `ppa-smp`'s machine also times its cores, arbiter and memory phases
+/// into `prof.smp.<phase>.{cycles,ns}`. The cores time their pipeline
+/// stages into `prof.core.step.<stage>.{cycles,ns}` only when ppa-core's
+/// `prof` feature is compiled in ([`ppa_core::prof::STAGE_TIMING`]). A
+/// timing that timed nothing exports nothing.
 static PROFILING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Arms (or disarms) stage-level profiling for subsequently built cores.

@@ -120,7 +120,6 @@ impl Machine {
         let mut cores: Vec<Core> = (0..traces.len())
             .map(|i| Core::new(self.cfg.core, i))
             .collect();
-        #[cfg(feature = "prof")]
         if crate::profiling_enabled() {
             for core in &mut cores {
                 core.enable_profiling();
@@ -137,11 +136,8 @@ impl Machine {
         ppa_obs::registry::counter("sim.machine.runs").inc();
         ppa_obs::registry::counter("sim.cycles.total").add(cycles);
         ppa_obs::registry::counter("sim.uops.committed").add(committed);
-        #[cfg(feature = "prof")]
-        if crate::profiling_enabled() {
-            for (name, value) in ppa_core::prof::stage_counters(&cores) {
-                ppa_obs::registry::counter(&name).add(value);
-            }
+        for (name, value) in ppa_core::prof::stage_counters(&cores) {
+            ppa_obs::registry::counter(&name).add(value);
         }
         SimReport {
             cycles,

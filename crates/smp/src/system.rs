@@ -4,6 +4,7 @@
 use crate::arbiter::{
     check_arbiter_fairness, check_drain_log, ArbiterFault, DrainGrant, PersistArbiter,
 };
+use ppa_core::prof::{self, Timing};
 use ppa_core::verify::{InvariantKind, Violation};
 use ppa_core::{
     deserialize_images, flush, replay_stores, serialize_images, CheckpointImage, Core, CoreStats,
@@ -107,15 +108,15 @@ pub struct SmpSystem {
     /// Drain grants the arbiter issued before recoveries cleared its log.
     grants_before_recovery: u64,
     limit: u64,
-    #[cfg(feature = "prof")]
+    /// Whether phase timing is armed ([`ppa_sim::set_profiling`] when
+    /// the machine was built).
     prof_enabled: bool,
-    #[cfg(feature = "prof")]
-    phase_timing: Vec<ppa_core::prof::StageTiming>,
+    /// Per-phase cost accounting, aligned with [`SMP_PHASES`].
+    phase_timing: [Timing; 3],
 }
 
 /// The machine phases [`SmpSystem::step`] attributes time to, in
 /// execution order within a cycle.
-#[cfg(feature = "prof")]
 const SMP_PHASES: [&str; 3] = ["cores", "arbiter", "mem"];
 
 impl SmpSystem {
@@ -130,11 +131,8 @@ impl SmpSystem {
         assert!(!traces.is_empty(), "need at least one trace");
         let n = traces.len();
         let total_uops: u64 = traces.iter().map(|t| t.len() as u64).sum();
-        #[allow(unused_mut)]
         let mut cores: Vec<Core> = (0..n).map(|i| Core::new(cfg.core, i)).collect();
-        #[cfg(feature = "prof")]
         let prof_enabled = ppa_sim::profiling_enabled();
-        #[cfg(feature = "prof")]
         if prof_enabled {
             for core in &mut cores {
                 core.enable_profiling();
@@ -150,13 +148,8 @@ impl SmpSystem {
             limit: 1_000_000 + total_uops * 2_000,
             cfg,
             traces,
-            #[cfg(feature = "prof")]
             prof_enabled,
-            #[cfg(feature = "prof")]
-            phase_timing: SMP_PHASES
-                .iter()
-                .map(|p| ppa_core::prof::StageTiming::new(p))
-                .collect(),
+            phase_timing: SMP_PHASES.map(Timing::new),
         }
     }
 
@@ -203,7 +196,6 @@ impl SmpSystem {
     /// order (skipping cores stalled on an uncertified drain), the arbiter
     /// observes and grants, and the memory system ticks.
     pub fn step(&mut self) {
-        #[cfg(feature = "prof")]
         if self.prof_enabled {
             let t0 = std::time::Instant::now();
             self.step_cores();
@@ -212,14 +204,9 @@ impl SmpSystem {
             let t2 = std::time::Instant::now();
             self.mem.tick(self.now);
             let t3 = std::time::Instant::now();
-            for (slot, d) in self
-                .phase_timing
-                .iter_mut()
-                .zip([t1 - t0, t2 - t1, t3 - t2])
-            {
-                slot.cycles += 1;
-                slot.elapsed += d;
-            }
+            self.phase_timing[0].add(t1 - t0);
+            self.phase_timing[1].add(t2 - t1);
+            self.phase_timing[2].add(t3 - t2);
             self.now += 1;
             return;
         }
@@ -281,21 +268,12 @@ impl SmpSystem {
         // drain grants are lifted on drop, so hand-stepped machines count.
         ppa_obs::registry::counter("smp.machine.runs").inc();
         ppa_obs::registry::counter("smp.uops.committed").add(committed);
-        #[cfg(feature = "prof")]
-        if self.prof_enabled {
-            // Lift (and drain) the phase and stage accumulators so a
-            // second run of a kept-alive machine cannot double-count.
-            for slot in &mut self.phase_timing {
-                ppa_obs::registry::counter(&format!("prof.smp.{}.cycles", slot.name))
-                    .add(slot.cycles);
-                ppa_obs::registry::counter(&format!("prof.smp.{}.ns", slot.name))
-                    .add(slot.elapsed.as_nanos() as u64);
-                slot.cycles = 0;
-                slot.elapsed = std::time::Duration::ZERO;
-            }
-            for (name, value) in ppa_core::prof::stage_counters(&self.cores) {
-                ppa_obs::registry::counter(&name).add(value);
-            }
+        // Lift (and drain) the phase accumulators so a second run of a
+        // kept-alive machine cannot double-count them.
+        let phases = prof::counters("prof.smp", &self.phase_timing);
+        self.phase_timing = SMP_PHASES.map(Timing::new);
+        for (name, value) in phases.into_iter().chain(prof::stage_counters(&self.cores)) {
+            ppa_obs::registry::counter(&name).add(value);
         }
         SmpReport {
             cycles,
@@ -375,7 +353,6 @@ impl SmpSystem {
     /// Panics if the checkpoint's core count differs from the machine's.
     pub fn recover(&mut self, images: &[CheckpointImage]) -> usize {
         let replayed = ppa_core::recover_cores(&mut self.cores, &mut self.mem, images);
-        #[cfg(feature = "prof")]
         if self.prof_enabled {
             // Recovery builds fresh cores; re-arm them. (Pre-failure
             // stage time is lost with the cores, like everything else

@@ -66,24 +66,20 @@ pub fn check_app(app: &AppDescriptor, len: usize, seed: u64) -> CheckReport {
     }
 }
 
-/// Lifts the cores' [`ppa_core::verify::ValidatorTiming`] accounting
-/// into `verify.check.*` metrics: cycles scanned per validator, wall
-/// time per validator, and run totals. perfbench's `crash` workload
-/// reads the per-validator time as its `verify.validator.*` layers.
+/// Lifts the cores' validator [`ppa_core::prof::Timing`]s into
+/// `verify.check.*` metrics: cycles scanned per validator, wall time per
+/// validator, and run totals. perfbench's `crash` workload reads the
+/// per-validator time as its `verify.validator.*` layers. The timings
+/// are mirrored into the cycle-attribution family (`prof.validator.*`)
+/// so validator cost shows up in `ppa_obs::prof::collapsed_stacks`
+/// alongside the pipeline stages.
 fn record_check_metrics(cores: &[Core], cycles: u64) {
     ppa_obs::registry::counter("verify.check.apps").inc();
     ppa_obs::registry::counter("verify.check.cycles_scanned").add(cycles);
-    for core in cores {
-        for t in core.validator_timings() {
-            let base = format!("verify.check.validator.{}", t.name);
-            ppa_obs::registry::counter(&format!("{base}.cycles")).add(t.cycles);
-            ppa_obs::registry::counter(&format!("{base}.ns")).add(t.elapsed.as_nanos() as u64);
-            // Mirror into the cycle-attribution family so validator
-            // cost shows up in `ppa_obs::prof::collapsed_stacks`
-            // alongside the pipeline stages.
-            let prof = format!("prof.validator.{}", t.name);
-            ppa_obs::registry::counter(&format!("{prof}.cycles")).add(t.cycles);
-            ppa_obs::registry::counter(&format!("{prof}.ns")).add(t.elapsed.as_nanos() as u64);
+    for prefix in ["verify.check.validator", "prof.validator"] {
+        let timings = cores.iter().flat_map(Core::validator_timings);
+        for (name, value) in ppa_core::prof::counters(prefix, timings) {
+            ppa_obs::registry::counter(&name).add(value);
         }
     }
 }

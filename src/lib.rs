@@ -14,8 +14,9 @@
 //! * [`core`] — the cycle-level out-of-order core with PPA's MaskReg, CSQ,
 //!   LCPC, dynamic region formation, and JIT checkpoint/recovery;
 //! * [`workloads`] — the 41 application models of the paper's evaluation;
-//! * [`sim`] — multi-core system assembly, power-failure injection, and the
-//!   crash-consistency checker;
+//! * [`sim`] — multi-core system assembly and power-failure injection,
+//!   judged by diffing the NVM image against the golden architectural
+//!   memory;
 //! * [`energy`] — hardware cost and checkpoint-energy models;
 //! * [`stats`] — CDFs, summaries, and table formatting.
 //!

@@ -10,6 +10,17 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Timed binaries come from ppa-bench-only builds (`cargo build --release
+# -p ppa-bench`): a workspace build unifies ppa-core's `verify` feature
+# into them through ppa-verify. ppa-bench's own graph must never have it.
+echo "== ppa-bench's graph builds ppa-core without verify"
+# (Captured first: under pipefail, `grep -q` exiting early could SIGPIPE
+# `cargo tree` and turn a match into a pass.)
+BENCH_FEATURES=$(cargo tree --offline -e features -i ppa-core -p ppa-bench)
+if grep -q verify <<< "$BENCH_FEATURES"; then
+    echo "ci: ppa-bench's graph enables ppa-core's verify feature"; exit 1
+fi
+
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -25,7 +25,10 @@
 //!   cargo feature, so release simulation pays nothing;
 //! * **one machine loop** ([`Lockstep`]) — N cores stepped in lockstep
 //!   over one memory system, with the crash-and-resume path
-//!   ([`Lockstep::crash`], [`Lockstep::recover`]) every harness shares.
+//!   ([`Lockstep::crash`], [`Lockstep::recover`]) every harness shares;
+//!   `ppa-smp`'s machine keeps its own loop but crashes, recovers and
+//!   bounds itself through the same [`crash`], [`recover_cores`] and
+//!   [`deadlock_bound`].
 //!
 //! The same pipeline also executes the paper's software baselines
 //! (ReplayCache and Capri) by honouring trace-embedded persist barriers —
@@ -72,7 +75,7 @@ mod window;
 pub use config::{ConfigError, CoreConfig, PersistenceMode};
 pub use events::{EventLog, PipelineEvent};
 pub use inorder::InOrderCore;
-pub use lockstep::{recover_cores, Crash, Lockstep};
+pub use lockstep::{crash, deadlock_bound, recover_cores, Crash, Lockstep};
 pub use pipeline::Core;
 pub use ppa::{
     deserialize_images, flush, replay_stores, serialize_images, CheckpointController,

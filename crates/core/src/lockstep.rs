@@ -1,7 +1,8 @@
 //! The one machine loop: N cores stepped in lockstep over one memory
 //! system, and the §4.5–4.6 crash-and-resume path every harness shares.
-//! (`ppa-smp` keeps its own loop: rotating service order and arbiter
-//! stalls make it a different machine.)
+//! (`ppa-smp` keeps its own loop, since rotating service order and
+//! arbiter stalls make it a different machine, but shares [`crash`],
+//! [`recover_cores`] and [`deadlock_bound`].)
 
 use crate::pipeline::Core;
 use crate::ppa::checkpoint::{deserialize_images, flush, serialize_images, CheckpointImage, Flush};
@@ -9,14 +10,15 @@ use crate::ppa::recovery::replay_stores;
 use ppa_isa::Trace;
 use ppa_mem::MemorySystem;
 
-/// Cycles a run of `traces` may take before it counts as deadlocked.
-fn deadlock_bound(traces: &[Trace]) -> u64 {
+/// Cycles a run of `traces` may take before it counts as deadlocked:
+/// `1_000_000 + 2_000 × µops`. Every machine loop, [`Lockstep`] and
+/// `ppa-smp`'s, uses this one bound.
+pub fn deadlock_bound(traces: &[Trace]) -> u64 {
     let uops: u64 = traces.iter().map(|t| t.len() as u64).sum();
     1_000_000 + uops * 2_000
 }
 
-/// What a power failure leaves behind for recovery (see
-/// [`Lockstep::crash`]).
+/// What a power failure leaves behind for recovery (see [`crash`]).
 #[derive(Debug, Clone)]
 pub struct Crash {
     /// One image per core, deserialized from the flushed word stream —
@@ -29,7 +31,7 @@ pub struct Crash {
 }
 
 /// N cores, one trace each, stepped in lockstep over one memory system,
-/// with one deadlock bound: `1_000_000 + 2_000 × µops`.
+/// with one deadlock bound ([`deadlock_bound`]).
 #[derive(Debug)]
 pub struct Lockstep<'a> {
     cores: &'a mut [Core],
@@ -100,22 +102,11 @@ impl<'a> Lockstep<'a> {
         true
     }
 
-    /// Cuts power now (§4.5): JIT-checkpoints every core, flushes the
-    /// serialized images through the checkpoint controller (interrupted
-    /// `mid_flush` controller cycles in, if given), loses all volatile
-    /// memory state, and deserializes the durable stream (a completed
-    /// flush always does). The cores are dead until [`Lockstep::recover`].
+    /// Cuts power now: [`crash`] on every core's JIT checkpoint. The cores
+    /// are dead until [`Lockstep::recover`].
     pub fn crash(&mut self, mid_flush: Option<u64>) -> Crash {
         let images: Vec<_> = self.cores.iter().map(Core::jit_checkpoint).collect();
-        let stream = serialize_images(&images);
-        let flush = flush(&stream, mid_flush);
-        self.mem.power_failure();
-        let recovered = deserialize_images(&stream).expect("a completed flush must deserialize");
-        Crash {
-            stream_recovered: recovered == images,
-            images: recovered,
-            flush,
-        }
+        crash(&images, self.mem, mid_flush)
     }
 
     /// Recovers from `images` with [`recover_cores`]. The clock keeps
@@ -127,9 +118,26 @@ impl<'a> Lockstep<'a> {
     }
 }
 
+/// §4.5 for a whole machine whose cores' JIT checkpoints are `images`:
+/// flushes the serialized images through the checkpoint controller
+/// (interrupted `mid_flush` controller cycles in, if given), loses all
+/// volatile memory state, and deserializes the durable stream.
+pub fn crash(images: &[CheckpointImage], mem: &mut MemorySystem, mid_flush: Option<u64>) -> Crash {
+    let stream = serialize_images(images);
+    let flush = flush(&stream, mid_flush);
+    mem.power_failure();
+    let recovered = deserialize_images(&stream).expect("a completed flush must deserialize");
+    Crash {
+        stream_recovered: recovered == images,
+        images: recovered,
+        flush,
+    }
+}
+
 /// §4.6 for a whole machine: replays each image's CSQ into NVM (core-index
 /// order; §6 argues DRF makes any order correct) and rebuilds each core
-/// from its image. Returns the number of stores replayed.
+/// from its image, still armed for profiling if it was. Returns the
+/// number of stores replayed.
 ///
 /// # Panics
 ///
@@ -143,7 +151,9 @@ pub fn recover_cores(
     let mut replayed = 0;
     for (core, image) in cores.iter_mut().zip(images) {
         replayed += replay_stores(image, mem.nvm_image_mut()).replayed_stores;
+        let prof_enabled = core.prof_enabled;
         *core = Core::recover(*core.config(), core.id(), image);
+        core.prof_enabled = prof_enabled;
     }
     replayed
 }
@@ -172,6 +182,26 @@ mod tests {
         assert_eq!(machine.now(), 1_000_000 + 2_000);
         assert_eq!(machine.cores()[0].committed(), 0);
         assert!(!machine.cores()[0].is_finished());
+    }
+
+    #[test]
+    fn recovery_keeps_each_cores_profiling_switch() {
+        let mut b = TraceBuilder::new("stores");
+        for i in 0..32u64 {
+            b.store(ArchReg::int(0), 0x1000 + i * 64, i);
+        }
+        let trace = b.build();
+        let traces = [trace.clone(), trace];
+        let mut mem = MemorySystem::new(MemConfig::memory_mode(), 2);
+        let cfg = CoreConfig::paper_default(PersistenceMode::Ppa);
+        let mut cores = [Core::new(cfg, 0), Core::new(cfg, 1)];
+        cores[1].enable_profiling();
+        let mut machine = Lockstep::new(&mut cores, &traces, &mut mem);
+        machine.run_to(100);
+        let crash = machine.crash(None);
+        machine.recover(&crash.images);
+        let armed: Vec<bool> = machine.cores().iter().map(|c| c.prof_enabled).collect();
+        assert_eq!(armed, [false, true]);
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub struct Core {
     stage_timing: [Timing; 3],
     /// Whether stage timing is armed. Timing also needs
     /// [`crate::prof::STAGE_TIMING`]; without it an armed core times
-    /// nothing.
-    prof_enabled: bool,
+    /// nothing. Carried across recovery by [`crate::recover_cores`].
+    pub(crate) prof_enabled: bool,
 }
 
 /// Attached cycle-level checks and their state (the `verify` feature's

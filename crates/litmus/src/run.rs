@@ -1,17 +1,17 @@
 //! Conformance runner: every litmus test × every failure point, on the real
 //! machine.
 //!
-//! For each cycle of an [`SmpSystem`] run the runner takes a crash cell
-//! ([`SmpSystem::crash_cell`]): the JIT checkpoint, round-tripped through
-//! the serialized word stream, with the recovered CSQs replayed into a
-//! clone of the live NVM image (power failure never touches NVM, so the
-//! clone *is* the post-crash image). It checks the resulting memory state
-//! against the axiomatic model. A strided subset of cells additionally
-//! tears the checkpoint flush mid-stream and requires recovery to reject
-//! the torn prefix. After
-//! the run the whole-machine validators (`SmpSystem::validate`) get the
-//! final word — an arbiter that mis-orders grants is machine-unsound even
-//! if every reachable state happens to be model-allowed.
+//! One [`SmpSystem::sweep`] per test takes a crash cell
+//! ([`SmpSystem::crash_cell`]) at every cycle: the JIT checkpoint,
+//! round-tripped through the serialized word stream, with the recovered
+//! CSQs replayed into a clone of the live NVM image (power failure never
+//! touches NVM, so the clone *is* the post-crash image). The runner judges
+//! the resulting memory state against the axiomatic model. A strided
+//! subset of cells additionally tears the checkpoint flush mid-stream and
+//! requires recovery to reject the torn prefix. After the run the
+//! whole-machine validators (`SmpSystem::validate`) get the final word —
+//! an arbiter that mis-orders grants is machine-unsound even if every
+//! reachable state happens to be model-allowed.
 
 use crate::generator::{word_addr, LitmusTest};
 use crate::model::allowed_states;
@@ -97,47 +97,37 @@ pub fn run_test(test: &LitmusTest, cfg: &RunConfig) -> TestRow {
     let model = allowed_states(test);
     let (traces, _) = test.traces();
     let n_cores = traces.len();
-    let total_uops: u64 = traces.iter().map(|t| t.len() as u64).sum();
     let sys_cfg = SystemConfig::ppa().with_threads(n_cores);
     let mut sys = SmpSystem::new(sys_cfg, traces);
     if let Some(RunnerFault::Arbiter(f)) = cfg.fault {
         sys.inject_arbiter_fault(f);
     }
 
-    let limit = 100_000 + total_uops * 2_000;
     let mut reached: BTreeSet<Vec<u64>> = BTreeSet::new();
     // Unsound details carry their failure class so waivers can be scoped:
     // a waiver for one class never masks the others. Details are capped
     // per class; counts are exact.
     let mut raw_unsound: Vec<(UnsoundClass, String)> = Vec::new();
     let mut class_counts = [0u64; UnsoundClass::ALL.len()];
-    let mut cells = 0u64;
     let mut torn = 0u64;
 
-    let record = |details: &mut Vec<(UnsoundClass, String)>,
-                  counts: &mut [u64; UnsoundClass::ALL.len()],
-                  class: UnsoundClass,
-                  msg: String| {
-        counts[class as usize] += 1;
-        if details.iter().filter(|(c, _)| *c == class).count() < MAX_UNSOUND_DETAILS {
-            details.push((class, msg));
+    let mut record = |class: UnsoundClass, msg: String| {
+        class_counts[class as usize] += 1;
+        if raw_unsound.iter().filter(|(c, _)| *c == class).count() < MAX_UNSOUND_DETAILS {
+            raw_unsound.push((class, msg));
         }
     };
 
-    loop {
-        let cycle = sys.now();
-        cells += 1;
-        // Mid-flush tearing probe on a strided subset of cells: interrupt
-        // the controller FSM at a cell-dependent word count and require the
-        // torn prefix to be rejected (the completion marker lands last).
-        let tear = cycle.is_multiple_of(cfg.tear_stride);
-        let cell = sys.crash_cell(tear.then_some(cycle / cfg.tear_stride));
+    // Mid-flush tearing probe on a strided subset of cells: interrupt the
+    // controller FSM at a cell-dependent word count and require the torn
+    // prefix to be rejected (the completion marker lands last).
+    let stride = cfg.tear_stride;
+    let tear = |cycle: u64| cycle.is_multiple_of(stride).then_some(cycle / stride);
+    let cells = sys.sweep(tear, |sys, cycle, cell| {
         if let Some(f) = cell.torn {
             torn += 1;
             if !f.torn_prefix_rejected {
                 record(
-                    &mut raw_unsound,
-                    &mut class_counts,
                     UnsoundClass::TornPrefix,
                     format!(
                         "cycle {cycle}: torn checkpoint prefix ({}/{} words) accepted",
@@ -150,8 +140,6 @@ pub fn run_test(test: &LitmusTest, cfg: &RunConfig) -> TestRow {
         // Full round-trip recovery into a clone of the live NVM image.
         match cell.recovered {
             None => record(
-                &mut raw_unsound,
-                &mut class_counts,
                 UnsoundClass::Recovery,
                 format!("cycle {cycle}: intact checkpoint stream failed to deserialize"),
             ),
@@ -171,8 +159,6 @@ pub fn run_test(test: &LitmusTest, cfg: &RunConfig) -> TestRow {
                     reached.insert(state);
                 } else {
                     record(
-                        &mut raw_unsound,
-                        &mut class_counts,
                         UnsoundClass::ModelState,
                         format!(
                             "cycle {cycle}: reachable state {} is outside the model",
@@ -182,26 +168,11 @@ pub fn run_test(test: &LitmusTest, cfg: &RunConfig) -> TestRow {
                 }
             }
         }
-
-        if sys.is_finished() {
-            break;
-        }
-        assert!(
-            cycle < limit,
-            "litmus test {} wedged the machine",
-            test.name
-        );
-        sys.step();
-    }
+    });
 
     // Whole-machine validators get the final word.
     for v in sys.validate() {
-        record(
-            &mut raw_unsound,
-            &mut class_counts,
-            UnsoundClass::Validator,
-            format!("validator: {v}"),
-        );
+        record(UnsoundClass::Validator, format!("validator: {v}"));
     }
 
     // Apply the waiver table. Machine-unsound waivers are scoped per

@@ -13,13 +13,16 @@
 //!   round-robin order, enforcing §6's cross-core persist ordering;
 //!   synchronisation operations are region boundaries, and a core stalls
 //!   at one until its drain certificate issues;
-//! * whole-machine **JIT checkpoint and recovery** —
+//! * whole-machine **JIT checkpoint and recovery**, through the same
+//!   crash path and deadlock bound as [`ppa_core::Lockstep`] —
 //!   [`SmpSystem::jit_checkpoint`] images every core atomically;
-//!   [`SmpSystem::crash_cell`] is the per-cycle crash cell (checkpoint,
-//!   serialize, optional torn flush, deserialize, replay into a clone of
-//!   NVM) both per-cycle sweeps run; [`SmpSystem::recover`] replays all cores' committed stores (any
+//!   [`SmpSystem::crash`] cuts power through [`ppa_core::crash`];
+//!   [`SmpSystem::recover`] replays all cores' committed stores (any
 //!   replay order is correct under data-race-freedom) and restarts every
-//!   core after its LCPC;
+//!   core after its LCPC; [`SmpSystem::sweep`] is the one per-cycle crash
+//!   loop, taking a [`SmpSystem::crash_cell`] (checkpoint, serialize,
+//!   optional torn flush, deserialize, replay into a clone of NVM) at
+//!   every cycle for the litmus runner and the exhaustive crash oracle;
 //! * **cross-core validators** — [`check_drain_log`] (drain-order and
 //!   persist-before-dependence), [`check_arbiter_fairness`] (round-robin
 //!   rotation and starvation-freedom, judged from the request lines each

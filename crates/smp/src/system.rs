@@ -7,15 +7,16 @@ use crate::arbiter::{
 use ppa_core::prof::{self, Timing};
 use ppa_core::verify::{InvariantKind, Violation};
 use ppa_core::{
-    deserialize_images, flush, replay_stores, serialize_images, CheckpointImage, Core, CoreStats,
-    Flush,
+    deadlock_bound, deserialize_images, flush, replay_stores, serialize_images, CheckpointImage,
+    Core, CoreStats, Crash, Flush,
 };
 use ppa_isa::Trace;
 use ppa_mem::{MemStats, MemorySystem, NvmImage};
 use ppa_sim::SystemConfig;
 
 /// One crash cell: what [`SmpSystem::crash_cell`] found when power failed
-/// at the machine's current cycle.
+/// at the machine's current cycle. [`SmpSystem::sweep`] takes one at every
+/// cycle.
 #[derive(Debug, Clone)]
 pub struct CrashCell {
     /// Words in the serialized machine checkpoint.
@@ -78,7 +79,10 @@ pub struct SmpReport {
 /// independent cores), `SmpSystem` is a stepped object: cores are serviced
 /// in rotating interconnect order, sync-region drains are serialized
 /// through the [`PersistArbiter`], and the whole machine can be
-/// checkpointed, power-failed, and recovered at any cycle.
+/// checkpointed, power-failed, and recovered at any cycle. It crashes,
+/// recovers and bounds itself exactly as [`ppa_core::Lockstep`] does
+/// ([`ppa_core::crash`], [`ppa_core::recover_cores`],
+/// [`ppa_core::deadlock_bound`]).
 ///
 /// # Examples
 ///
@@ -107,6 +111,7 @@ pub struct SmpSystem {
     now: u64,
     /// Drain grants the arbiter issued before recoveries cleared its log.
     grants_before_recovery: u64,
+    /// The deadlock bound [`step`](Self::step) asserts.
     limit: u64,
     /// Whether phase timing is armed ([`ppa_sim::set_profiling`] when
     /// the machine was built).
@@ -130,7 +135,6 @@ impl SmpSystem {
     pub fn new(cfg: SystemConfig, traces: Vec<Trace>) -> Self {
         assert!(!traces.is_empty(), "need at least one trace");
         let n = traces.len();
-        let total_uops: u64 = traces.iter().map(|t| t.len() as u64).sum();
         let mut cores: Vec<Core> = (0..n).map(|i| Core::new(cfg.core, i)).collect();
         let prof_enabled = ppa_sim::profiling_enabled();
         if prof_enabled {
@@ -145,7 +149,7 @@ impl SmpSystem {
             duplicate_image_fault: false,
             now: 0,
             grants_before_recovery: 0,
-            limit: 1_000_000 + total_uops * 2_000,
+            limit: deadlock_bound(&traces),
             cfg,
             traces,
             prof_enabled,
@@ -195,7 +199,17 @@ impl SmpSystem {
     /// Advances the machine one cycle: cores step in rotating interconnect
     /// order (skipping cores stalled on an uncertified drain), the arbiter
     /// observes and grants, and the memory system ticks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine is at its deadlock bound
+    /// ([`ppa_core::deadlock_bound`], restarted by [`recover`](Self::recover)).
     pub fn step(&mut self) {
+        assert!(
+            self.now < self.limit,
+            "smp machine deadlocked after {} cycles",
+            self.now
+        );
         if self.prof_enabled {
             let t0 = std::time::Instant::now();
             self.step_cores();
@@ -239,7 +253,7 @@ impl SmpSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the machine deadlocks (2000 cycles per micro-op bound).
+    /// Panics if the machine deadlocks ([`ppa_core::deadlock_bound`]).
     pub fn run(mut self) -> SmpReport {
         self.run_in_place()
     }
@@ -249,11 +263,6 @@ impl SmpSystem {
     /// them against its independent golden model).
     pub fn run_in_place(&mut self) -> SmpReport {
         while !self.is_finished() || self.arbiter.has_pending() {
-            assert!(
-                self.now < self.limit,
-                "smp machine deadlocked after {} cycles",
-                self.now
-            );
             self.step();
         }
         let cycles = self
@@ -308,12 +317,12 @@ impl SmpSystem {
         images
     }
 
-    /// The crash cell every per-cycle sweep runs: JIT-checkpoint the
-    /// machine, serialize the images, optionally tear the flush at
-    /// interrupt `tear % words` ([`ppa_core::flush`]), deserialize the
-    /// intact stream and replay it into a clone of the live NVM image.
-    /// Power failure never touches NVM, so the clone *is* the post-crash
-    /// image; the machine itself is left untouched.
+    /// The crash cell [`sweep`](Self::sweep) takes at every cycle:
+    /// JIT-checkpoint the machine, serialize the images, optionally tear
+    /// the flush at interrupt `tear % words` ([`ppa_core::flush`]),
+    /// deserialize the intact stream and replay it into a clone of the
+    /// live NVM image. Power failure never touches NVM, so the clone *is*
+    /// the post-crash image; the machine itself is left untouched.
     pub fn crash_cell(&self, tear: Option<u64>) -> CrashCell {
         let stream = serialize_images(&self.jit_checkpoint());
         let words = stream.len() as u64;
@@ -327,6 +336,28 @@ impl SmpSystem {
         }
     }
 
+    /// One forward run with a crash cell at every cycle, the final state
+    /// included, until every core has finished. `tear(cycle)` is the
+    /// cell's torn-flush interrupt ([`crash_cell`](Self::crash_cell));
+    /// `judge` sees the machine, the cycle and the cell. Returns the number
+    /// of cells.
+    pub fn sweep(
+        &mut self,
+        mut tear: impl FnMut(u64) -> Option<u64>,
+        mut judge: impl FnMut(&SmpSystem, u64, CrashCell),
+    ) -> u64 {
+        let mut cells = 0;
+        loop {
+            let cycle = self.now;
+            judge(self, cycle, self.crash_cell(tear(cycle)));
+            cells += 1;
+            if self.is_finished() {
+                return cells;
+            }
+            self.step();
+        }
+    }
+
     /// A clone of the live NVM image with every image's CSQ replayed into
     /// it, in core order.
     pub fn replayed_nvm(&self, images: &[CheckpointImage]) -> NvmImage {
@@ -337,33 +368,28 @@ impl SmpSystem {
         nvm
     }
 
-    /// Cuts power: all volatile state (caches, DRAM, write buffers) dies.
-    /// The NVM image and WPQ-accepted writes survive.
-    pub fn power_failure(&mut self) {
-        self.mem.power_failure();
+    /// Cuts power now: [`ppa_core::crash`] on the machine's
+    /// [`jit_checkpoint`](Self::jit_checkpoint). All volatile state
+    /// (caches, DRAM, write buffers) dies; the NVM image and WPQ-accepted
+    /// writes survive. The cores are dead until [`recover`](Self::recover).
+    pub fn crash(&mut self, mid_flush: Option<u64>) -> Crash {
+        ppa_core::crash(&self.jit_checkpoint(), &mut self.mem, mid_flush)
     }
 
     /// Recovers the machine from a checkpoint per §4.6/§6 with
     /// [`ppa_core::recover_cores`] (order across cores is immaterial under
-    /// DRF — [`check_images`] validates that). Returns the number of
-    /// replayed stores.
+    /// DRF — [`check_images`] validates that). The clock keeps running
+    /// from the crash cycle and the deadlock bound restarts there. Returns
+    /// the number of replayed stores.
     ///
     /// # Panics
     ///
     /// Panics if the checkpoint's core count differs from the machine's.
     pub fn recover(&mut self, images: &[CheckpointImage]) -> usize {
+        self.limit = self.now + deadlock_bound(&self.traces);
         let replayed = ppa_core::recover_cores(&mut self.cores, &mut self.mem, images);
-        if self.prof_enabled {
-            // Recovery builds fresh cores; re-arm them. (Pre-failure
-            // stage time is lost with the cores, like everything else
-            // volatile.)
-            for core in &mut self.cores {
-                core.enable_profiling();
-            }
-        }
         self.grants_before_recovery += self.arbiter.log().len() as u64;
         self.arbiter.reset(&self.cores);
-        self.limit += self.now;
         replayed
     }
 
@@ -385,9 +411,10 @@ impl SmpSystem {
 
 /// Lifts the machine's stepped cycles and drain grants into
 /// `smp.cycles.total` and `smp.drain.grants`, once per machine, however
-/// it was driven: [`SmpSystem::run`], [`SmpSystem::run_to`] or
-/// [`SmpSystem::step`] by hand (the litmus runner and the exhaustive
-/// crash sweep). Skipped while unwinding, so a drop cannot panic twice.
+/// it was driven: [`SmpSystem::run`], [`SmpSystem::run_to`],
+/// [`SmpSystem::sweep`] (the litmus runner and the exhaustive crash
+/// sweep) or [`SmpSystem::step`] by hand. Skipped while unwinding, so a
+/// drop cannot panic twice.
 impl Drop for SmpSystem {
     fn drop(&mut self) {
         if self.now == 0 || std::thread::panicking() {

@@ -3,10 +3,12 @@
 //! recovery, and the mutation self-tests of the machine-level validators.
 
 use ppa_core::verify::InvariantKind;
-use ppa_core::{deserialize_images, serialize_images};
+use ppa_core::{deadlock_bound, deserialize_images, serialize_images};
+use ppa_isa::{ArchReg, TraceBuilder};
 use ppa_sim::SystemConfig;
 use ppa_smp::{ArbiterFault, SmpSystem};
 use ppa_workloads::shared;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn machine(app: &str, threads: usize, len: usize, cfg: SystemConfig) -> SmpSystem {
     let app = shared::by_name(app).expect("known shared workload");
@@ -84,20 +86,43 @@ fn clean_machine_validates_clean_at_any_point() {
 }
 
 #[test]
+fn rename_starved_machine_panics_one_cycle_past_the_deadlock_bound() {
+    // No physical register beyond the architectural ones: renaming a
+    // destination never succeeds.
+    let mut cfg = SystemConfig::baseline();
+    cfg.core.int_prf = ppa_isa::NUM_INT_ARCH_REGS;
+    let mut b = TraceBuilder::new("starved");
+    b.alu(ArchReg::int(0), &[]);
+    let traces = vec![b.build()];
+    let bound = deadlock_bound(&traces);
+    let mut sys = SmpSystem::new(cfg, traces);
+    let mut run_to = |cycle| catch_unwind(AssertUnwindSafe(|| sys.run_to(cycle)));
+    assert!(run_to(bound).is_ok(), "stepping up to the bound is allowed");
+    let panic = run_to(bound + 1).expect_err("stepping past the bound must panic");
+    let msg = panic.downcast_ref::<String>().expect("a formatted message");
+    assert!(msg.contains("deadlocked"), "{msg}");
+    assert_eq!(sys.now(), bound);
+    assert_eq!(sys.cores()[0].committed(), 0);
+}
+
+#[test]
 fn whole_machine_failure_and_recovery_is_consistent() {
     for app in ["counters", "prodcons"] {
-        let mut sys = machine(app, 2, 1_200, SystemConfig::ppa());
-        sys.run_to(2_000);
-        let ckpt = sys.jit_checkpoint();
-        sys.power_failure();
-        sys.recover(&ckpt);
-        assert!(
-            sys.consistent(),
-            "{app}: replay must restore consistency at the failure point"
-        );
-        let report = sys.run();
-        assert_eq!(report.committed, 2 * 1_200, "{app}");
-        assert!(report.consistent, "{app}");
+        for mid_flush in [None, Some(0), Some(40)] {
+            let mut sys = machine(app, 2, 1_200, SystemConfig::ppa());
+            sys.run_to(2_000);
+            let crash = sys.crash(mid_flush);
+            assert!(crash.flush.torn_prefix_rejected, "{app} {mid_flush:?}");
+            assert!(crash.stream_recovered, "{app} {mid_flush:?}");
+            sys.recover(&crash.images);
+            assert!(
+                sys.consistent(),
+                "{app} {mid_flush:?}: replay must restore consistency at the failure point"
+            );
+            let report = sys.run();
+            assert_eq!(report.committed, 2 * 1_200, "{app} {mid_flush:?}");
+            assert!(report.consistent, "{app} {mid_flush:?}");
+        }
     }
 }
 
@@ -125,21 +150,23 @@ fn crash_cells_at_every_cycle_leave_the_run_unchanged() {
     };
     let plain = summary(machine("prodcons", 2, 800, SystemConfig::ppa()));
     let mut sys = machine("prodcons", 2, 800, SystemConfig::ppa());
-    let mut cells = 0u64;
     let mut torn = 0u64;
-    while !sys.is_finished() {
-        cells += 1;
-        let cell = sys.crash_cell(cells.is_multiple_of(3).then_some(cells * 13));
+    let tear = |cycle: u64| (cycle + 1).is_multiple_of(3).then_some((cycle + 1) * 13);
+    let cells = sys.sweep(tear, |sys, cycle, cell| {
         if let Some(f) = cell.torn {
             torn += 1;
-            assert!(f.torn_prefix_rejected, "cycle {}", sys.now());
-            assert!(f.torn_words < cell.words, "cycle {}", sys.now());
+            assert!(f.torn_prefix_rejected, "cycle {cycle}");
+            assert!(f.torn_words < cell.words, "cycle {cycle}");
         }
         let (images, nvm) = cell.recovered.expect("intact stream deserializes");
         assert_eq!(images, sys.jit_checkpoint());
         assert_eq!(nvm, sys.replayed_nvm(&images));
-        sys.step();
-    }
+    });
+    assert_eq!(
+        cells,
+        sys.now() + 1,
+        "one cell per cycle, the final state included"
+    );
     assert!(torn > 0);
     assert_eq!(torn, cells / 3);
     assert_eq!(summary(sys), plain);
@@ -149,23 +176,23 @@ fn crash_cells_at_every_cycle_leave_the_run_unchanged() {
 fn every_cycles_recovered_images_are_the_machine_checkpoint() {
     let mut sys = machine("counters", 4, 400, SystemConfig::ppa());
     let mut with_stores = 0;
-    while !sys.is_finished() {
-        let images = sys.jit_checkpoint();
-        let cell = sys.crash_cell(None);
-        let (recovered, _) = cell.recovered.expect("intact stream deserializes");
-        assert_eq!(recovered, images, "cycle {}", sys.now());
-        assert_eq!(cell.words, serialize_images(&images).len() as u64);
-        for image in &images {
-            assert!(
-                image.prf_values.windows(2).all(|w| w[0].0 < w[1].0),
-                "cycle {}: PRF slice not sorted and unique",
-                sys.now()
-            );
-            assert!(image.masked.windows(2).all(|w| w[0] < w[1]));
-        }
-        with_stores += usize::from(images.iter().any(|i| !i.csq.is_empty()));
-        sys.step();
-    }
+    sys.sweep(
+        |_| None,
+        |sys, cycle, cell| {
+            let images = sys.jit_checkpoint();
+            let (recovered, _) = cell.recovered.expect("intact stream deserializes");
+            assert_eq!(recovered, images, "cycle {cycle}");
+            assert_eq!(cell.words, serialize_images(&images).len() as u64);
+            for image in &images {
+                assert!(
+                    image.prf_values.windows(2).all(|w| w[0].0 < w[1].0),
+                    "cycle {cycle}: PRF slice not sorted and unique"
+                );
+                assert!(image.masked.windows(2).all(|w| w[0] < w[1]));
+            }
+            with_stores += usize::from(images.iter().any(|i| !i.csq.is_empty()));
+        },
+    );
     assert!(with_stores > 0, "no cycle checkpointed a committed store");
 }
 

@@ -38,9 +38,8 @@ fn every_stepped_cycle_and_grant_is_counted_once_per_machine() {
     sys.run_to(stepped / 2);
     let grants_before_failure = sys.drain_log().len() as u64;
     assert!(grants_before_failure > 0, "no grant before the failure");
-    let images = sys.jit_checkpoint();
-    sys.power_failure();
-    sys.recover(&images);
+    let crash = sys.crash(None);
+    sys.recover(&crash.images);
     while !sys.is_finished() {
         sys.step();
     }

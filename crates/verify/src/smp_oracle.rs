@@ -18,7 +18,6 @@
 
 use crate::golden::{GoldenMemory, GoldenMismatch};
 use ppa_core::verify::{InvariantKind, Violation};
-use ppa_core::{deserialize_images, flush, serialize_images};
 use ppa_prng::Prng;
 use ppa_sim::SystemConfig;
 use ppa_smp::{ArbiterFault, SmpSystem};
@@ -103,20 +102,15 @@ pub fn run_smp_point(
     // All cores flush in parallel inside the residual-energy window; the
     // serialized stream's completion marker lands last, so a torn prefix
     // is always detectable.
-    let images = sys.jit_checkpoint();
-    let stream = serialize_images(&images);
-    let flushed = flush(&stream, mid_flush);
-    sys.power_failure();
+    let crash = sys.crash(mid_flush);
 
     // Phase 3: recovery from the deserialized stream, diffed against the
     // union of every thread's golden prefix execution.
-    let recovered = deserialize_images(&stream).expect("a completed flush must deserialize");
-    let stream_recovered = recovered == images;
-    let committed_per_core: Vec<u64> = recovered.iter().map(|i| i.committed).collect();
+    let committed_per_core: Vec<u64> = crash.images.iter().map(|i| i.committed).collect();
     let committed = committed_per_core.iter().sum();
     let golden_prefix = GoldenMemory::from_thread_prefixes(&traces, &committed_per_core)
         .expect("shared workloads are single-writer per word");
-    let replayed = sys.recover(&recovered);
+    let replayed = sys.recover(&crash.images);
     let recovery_mismatches = golden_prefix.diff_nvm(sys.mem().nvm_image());
 
     // Phase 4: resume every core and finish the program.
@@ -137,9 +131,9 @@ pub fn run_smp_point(
         replayed,
         drain_grants,
         mid_flush_interrupt: mid_flush,
-        torn_words: flushed.torn_words,
-        torn_prefix_rejected: flushed.torn_prefix_rejected,
-        stream_recovered,
+        torn_words: crash.flush.torn_words,
+        torn_prefix_rejected: crash.flush.torn_prefix_rejected,
+        stream_recovered: crash.stream_recovered,
         validator_violations,
         recovery_mismatches,
         resumed_to_completion,
@@ -197,12 +191,13 @@ pub fn run_smp_suite(
 }
 
 /// Outcome of the exhaustive failure-point sweep for one shared workload
-/// (`--fail-points all`): a single forward pass that examines **every
-/// cycle** as a failure point — a [`SmpSystem::crash_cell`] (checkpoint
-/// round-trip through the serialized stream, CSQ replay into a clone of
-/// the live NVM image) and a golden-prefix diff — tearing the controller
-/// flush on a strided subset of cells, plus a few full recover-and-resume
-/// points sampled from the run for phase-4 coverage.
+/// (`--fail-points all`): a single forward pass ([`SmpSystem::sweep`])
+/// that examines **every cycle** as a failure point — a
+/// [`SmpSystem::crash_cell`] (checkpoint round-trip through the serialized
+/// stream, CSQ replay into a clone of the live NVM image) and a
+/// golden-prefix diff — tearing the controller flush on a strided subset
+/// of cells, plus a few full recover-and-resume points sampled from the
+/// run for phase-4 coverage.
 #[derive(Debug)]
 pub struct SmpSweepOutcome {
     /// Shared workload name.
@@ -249,29 +244,23 @@ pub fn run_smp_app_exhaustive(
     let traces = app.generate_threads(len, seed, cores);
     let cfg = SystemConfig::ppa().with_threads(cores);
     let mut sys = SmpSystem::new(cfg, traces.clone());
-    let total_uops = (len * cores) as u64;
-    let limit = 1_000_000 + total_uops * 2_000;
 
-    let mut cells = 0u64;
     let mut torn_cells = 0u64;
     let mut torn_accepted = 0u64;
     let mut mismatch_cells = 0u64;
     let mut first_failure: Option<String> = None;
-    let fail = |slot: &mut Option<String>, count: &mut u64, msg: String| {
+    let mut fail = |count: &mut u64, msg: String| {
         *count += 1;
-        slot.get_or_insert(msg);
+        first_failure.get_or_insert(msg);
     };
 
-    loop {
-        let cycle = sys.now();
-        cells += 1;
-        // Tearing probe every third cell, at a cell-derived interrupt.
-        let cell = sys.crash_cell(cells.is_multiple_of(3).then_some(cells * 13));
+    // Tearing probe every third cell, at a cell-derived interrupt.
+    let tear = |cycle: u64| (cycle + 1).is_multiple_of(3).then_some((cycle + 1) * 13);
+    let cells = sys.sweep(tear, |_, cycle, cell| {
         if let Some(torn) = cell.torn {
             torn_cells += 1;
             if !torn.torn_prefix_rejected {
                 fail(
-                    &mut first_failure,
                     &mut torn_accepted,
                     format!(
                         "cycle {cycle}: torn prefix ({} words) accepted",
@@ -284,7 +273,6 @@ pub fn run_smp_app_exhaustive(
         // Round-trip recovery against the golden prefix union.
         match cell.recovered {
             None => fail(
-                &mut first_failure,
                 &mut mismatch_cells,
                 format!("cycle {cycle}: intact stream failed to deserialize"),
             ),
@@ -295,7 +283,6 @@ pub fn run_smp_app_exhaustive(
                 let diffs = golden.diff_nvm(&nvm);
                 if !diffs.is_empty() {
                     fail(
-                        &mut first_failure,
                         &mut mismatch_cells,
                         format!(
                             "cycle {cycle}: {} golden mismatches, first {:?}",
@@ -306,13 +293,7 @@ pub fn run_smp_app_exhaustive(
                 }
             }
         }
-
-        if sys.is_finished() {
-            break;
-        }
-        assert!(cycle < limit, "{} wedged the machine", app.name);
-        sys.step();
-    }
+    });
 
     // Phase-4 coverage: a few full recover-and-resume injections sampled
     // across the run (one of them tearing the flush mid-stream).
@@ -405,16 +386,13 @@ pub fn run_arbiter_mutations(len: usize, seed: u64) -> Vec<SmpMutationReport> {
         let violations = if fault == ArbiterFault::DuplicateImageEntry {
             // The duplicated entry only lands when core 0's CSQ is
             // non-empty, so probe checkpoints until one is corrupt.
-            let mut found = Vec::new();
-            let limit = 1_000 + (len as u64) * 40;
-            for cycle in (100..limit).step_by(100) {
-                sys.run_to(cycle);
-                found = sys.validate();
+            loop {
+                sys.run_to(sys.now() + 100);
+                let found = sys.validate();
                 if !found.is_empty() || sys.is_finished() {
-                    break;
+                    break found;
                 }
             }
-            found
         } else {
             while !sys.is_finished() {
                 sys.step();
